@@ -1,8 +1,9 @@
 """Package metadata for the CGO 2015 flash-RAM trade-off reproduction.
 
-Editable installs work offline (no wheel needed)::
+Editable installs need no wheel of this package::
 
-    pip install -e .
+    pip install -e .          # numpy, the only runtime dependency
+    pip install -e ".[test]"  # plus pytest, hypothesis and scipy for the tests
 
 which also installs the ``repro-eval`` console entry point for running the
 paper's figures through the experiment engine.
@@ -25,6 +26,9 @@ setup(
     python_requires=">=3.8",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy"],
+    # scipy is the outside LP oracle of tests/test_placement_and_transform.py.
+    extras_require={"test": ["pytest", "hypothesis", "scipy"]},
     entry_points={
         "console_scripts": [
             "repro-eval = repro.cli:main",

@@ -1,8 +1,8 @@
 """Reproduction of Pallister, Eder & Hollis (CGO 2015):
 "Optimizing the flash-RAM energy trade-off in deeply embedded systems".
 
-High-level experiment API (the engine compiles each program once, memoises
-baselines and fans grids out over processes)::
+High-level experiment API (the engine compiles each program once, simulates
+each distinct program once and fans grids out over processes)::
 
     from repro import ExperimentEngine, ExperimentSpec
 

@@ -6,11 +6,18 @@ Every figure, benchmark and example funnels through
 1. compiles the benchmark **once** through the shared
    :class:`~repro.engine.cache.ProgramCache` (the seed pipeline compiled the
    same source twice per optimized run),
-2. simulates the pristine shared program for the baseline — baseline results
-   are memoised per (program, engine) since simulation does not mutate the
-   program,
+2. simulates the pristine shared program for the baseline,
 3. deep-copies the pristine program for the placement optimizer, which
    rewrites blocks in place, and simulates the optimized copy.
+
+Simulations go through one **run memo**: a program is simulated once per
+distinct ``(benchmark, opt level, timing model, placement)``, where the
+placement is ``None`` for the baseline and ``(frozenset(ram_blocks),
+stack_reserve)`` for a placed program — the two inputs that determine what
+the relocation transform builds.  A run keeps its integer energy-event
+counts, so a memo hit is re-priced under the asking engine's energy model
+(:meth:`~repro.sim.SimulationResult.priced`), bitwise what a fresh
+simulation would give.
 
 Grids (benchmark × opt level × frequency mode) fan out over a
 ``concurrent.futures.ProcessPoolExecutor`` with deterministic result
@@ -21,9 +28,11 @@ does, so parallel and sequential grids are bitwise identical.
 Design-space sweeps (``repro.explore``) additionally vary the *energy model*
 per cell — the paper's flash/RAM energy-ratio axis.  :meth:`ExperimentEngine.run_cells`
 accepts ``(spec, energy_model)`` pairs and routes each cell to a sub-engine
-for its model; sub-engines share this engine's :class:`ProgramCache`
-(compilation is independent of the energy model) but keep their own
-baseline memos (which are not).
+for its model; sub-engines share this engine's :class:`ProgramCache` and
+run memo, since neither compilation nor execution depends on the energy
+model.  Sweep axes that change only the price of a run (the energy ratio)
+or only the ILP (X_limit, when the chosen placement repeats) therefore
+cost no extra simulation.
 """
 
 from __future__ import annotations
@@ -117,7 +126,9 @@ class ExperimentEngine:
         #: ``cache_dir`` locally, but its directory still propagates).
         self.cache_dir = self.cache.cache_dir if cache is not None else cache_dir
         self.max_workers = max_workers
-        self._baseline_results: Dict[Tuple, SimulationResult] = {}
+        #: The run memo: ``(benchmark, opt level, timing model, placement)``
+        #: → ``(energy model it was priced under, result)``.
+        self._runs: Dict[Tuple, Tuple[EnergyModel, SimulationResult]] = {}
         #: Latest cache-stats snapshot per pool worker, keyed by
         #: ``(pool_epoch, pid)`` — pids can be reused across pools, and each
         #: worker's snapshot is cumulative within its pool, so "latest per
@@ -125,8 +136,7 @@ class ExperimentEngine:
         self.pool_cache_stats: Dict[Tuple[int, int], Dict[str, int]] = {}
         self._pool_epoch = 0
         #: Sub-engines for cells that use a non-default energy model; they
-        #: share this engine's program cache but keep their own baseline
-        #: memos (baselines depend on the energy model).
+        #: share this engine's program cache and run memo.
         self._model_engines: List[Tuple[EnergyModel, "ExperimentEngine"]] = []
 
     # ------------------------------------------------------------------ #
@@ -144,21 +154,40 @@ class ExperimentEngine:
     # ------------------------------------------------------------------ #
     # Single experiments
     # ------------------------------------------------------------------ #
+    def _simulate(self, name: str, opt_level: str, timing_model: str,
+                  placement: Optional[Tuple[frozenset, int]],
+                  program: Callable[[], MachineProgram],
+                  stage: str) -> SimulationResult:
+        """One memoised run, priced under this engine's energy model.
+
+        *program* supplies the program to simulate on a memo miss.
+        """
+        hub = get_telemetry()
+        key = (name, opt_level, timing_model, placement)
+        memo = self._runs.get(key)
+        if memo is not None:
+            if hub.enabled:
+                hub.add("sim.memo_hits")
+            model, result = memo
+            return (result if model == self.energy_model
+                    else result.priced(self.energy_model))
+        target = program()
+        with hub.span("simulate", stage=stage):
+            result = Simulator(target, energy_model=self.energy_model,
+                               timing_model=timing_model).run()
+        self._runs[key] = (self.energy_model, result)
+        return result
+
     def _baseline(self, name: str, opt_level: str,
                   timing_model: str = "flat") -> SimulationResult:
-        """Simulate the unmodified program; memoised per (benchmark, level,
-        timing model)."""
-        key = (name, opt_level, timing_model)
-        result = self._baseline_results.get(key)
-        if result is None:
-            hub = get_telemetry()
-            with hub.span("compile", benchmark=name, opt_level=opt_level):
-                program = self.compile_benchmark(name, opt_level)
-            with hub.span("simulate", stage="baseline"):
-                result = Simulator(program, energy_model=self.energy_model,
-                                   timing_model=timing_model).run()
-            self._baseline_results[key] = result
-        return result
+        """Simulate the unmodified program (through the run memo)."""
+        def pristine() -> MachineProgram:
+            with get_telemetry().span("compile", benchmark=name,
+                                      opt_level=opt_level):
+                return self.compile_benchmark(name, opt_level)
+
+        return self._simulate(name, opt_level, timing_model, None, pristine,
+                              "baseline")
 
     def run_baseline(self, name: str, opt_level: str = "O2",
                      timing_model: str = "flat") -> BenchmarkRun:
@@ -196,10 +225,9 @@ class ExperimentEngine:
         with hub.span("placement.solve", solver=solver):
             solution = optimizer.optimize(profile=profile)
         fb_report = frequency_fidelity(optimizer.parameters, baseline.profile)
-        with hub.span("simulate", stage="optimized"):
-            optimized = Simulator(optimized_program,
-                                  energy_model=self.energy_model,
-                                  timing_model=timing_model).run()
+        placement = (frozenset(solution.ram_blocks), config.stack_reserve)
+        optimized = self._simulate(name, opt_level, timing_model, placement,
+                                   lambda: optimized_program, "optimized")
 
         if optimized.return_value != baseline.return_value:
             raise AssertionError(
@@ -241,6 +269,7 @@ class ExperimentEngine:
                 return engine
         engine = ExperimentEngine(energy_model=energy_model, cache=self.cache,
                                   max_workers=1)
+        engine._runs = self._runs
         self._model_engines.append((energy_model, engine))
         return engine
 
@@ -286,7 +315,7 @@ class ExperimentEngine:
             return sequential
 
         # Keep same-(benchmark, level) cells on one worker so its per-process
-        # engine reuses the compile and the memoised baseline.  Plain grids
+        # engine reuses the compile and the memoised runs.  Plain grids
         # are already contiguous, but sharded/resumed sweeps hand us subsets
         # scattered across benchmarks, so tasks are regrouped for the pool
         # and the results put back in cell order afterwards.  Per-cell floats
@@ -347,15 +376,15 @@ class ExperimentEngine:
 # --------------------------------------------------------------------------- #
 # Worker-process plumbing
 # --------------------------------------------------------------------------- #
-#: Per-process engines reused across tasks, one per distinct (energy model,
-#: cache dir) pair (models are small dataclasses, compared by value).
-_WORKER_ENGINES: List[Tuple[EnergyModel, Optional[str], ExperimentEngine]] = []
+#: Per-process root engines reused across tasks, one per cache dir; each
+#: routes a cell's energy model to its sub-engines, which share its memo.
+_WORKER_ENGINES: Dict[Optional[str], ExperimentEngine] = {}
 
 
 def _worker_cache_stats() -> Dict[str, int]:
     """This worker process's cumulative cache stats, over all its engines."""
     totals: Dict[str, int] = {}
-    for _model, _directory, engine in _WORKER_ENGINES:
+    for engine in _WORKER_ENGINES.values():
         for key, value in engine.cache.stats.as_dict().items():
             totals[key] = totals.get(key, 0) + value
     return totals
@@ -369,16 +398,11 @@ def _grid_worker(payload: Tuple[ExperimentSpec, EnergyModel, Optional[str]]
     can fold pool-side compiles/disk hits into its own summary (keeping only
     the latest snapshot per worker)."""
     spec, energy_model, cache_dir = payload
-    engine = None
-    for model, directory, candidate in _WORKER_ENGINES:
-        if model == energy_model and directory == cache_dir:
-            engine = candidate
-            break
+    engine = _WORKER_ENGINES.get(cache_dir)
     if engine is None:
-        engine = ExperimentEngine(energy_model=energy_model, max_workers=1,
-                                  cache_dir=cache_dir)
-        _WORKER_ENGINES.append((energy_model, cache_dir, engine))
-    run = engine.run_spec(spec)
+        engine = _WORKER_ENGINES[cache_dir] = ExperimentEngine(
+            max_workers=1, cache_dir=cache_dir)
+    run = engine.run_cell(spec, energy_model)
     return run, os.getpid(), _worker_cache_stats()
 
 

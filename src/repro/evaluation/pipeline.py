@@ -34,7 +34,7 @@ def _engine_for(energy_model: Optional[EnergyModel]) -> ExperimentEngine:
 
     The ephemeral engine still shares the process-wide program cache —
     compilation is independent of the energy model — but keeps its own
-    baseline-result memo, which does depend on it.
+    run memo.
     """
     if energy_model is None:
         return default_engine()

@@ -67,8 +67,8 @@ class PlacementSolution:
     x_limit: float = 1.0
     solver: str = "ilp"
     solver_status: str = ""
-    #: ILP solver counters (nodes, LP pivots, warm/cold solves); empty for
-    #: the greedy and exhaustive solvers.
+    #: ILP solver counters (nodes, LP pivots, warm/cold solves, basis
+    #: inversions); empty for the greedy and exhaustive solvers.
     solver_stats: Dict[str, int] = field(default_factory=dict)
     instrumented: List[str] = field(default_factory=list)
 
@@ -194,6 +194,7 @@ class FlashRAMOptimizer:
                 "lp_pivots": result.lp_pivots,
                 "warm_solves": result.warm_solves,
                 "cold_solves": result.cold_solves,
+                "factorizations": result.factorizations,
                 "unresolved_nodes": result.unresolved_nodes,
             }
             hub = get_telemetry()

@@ -41,6 +41,7 @@ from repro.placement.ilp import ILPProblem
 from repro.placement.solvers.lp import (
     LPResult,
     LPStatus,
+    ScaledSystem,
     solve_bounded_lp,
     solve_lp_dense,
 )
@@ -61,9 +62,12 @@ class ILPResult:
     lp_pivots: int = 0
     #: LP relaxations re-solved with the dual simplex from a parent basis.
     warm_solves: int = 0
-    #: LP relaxations solved from scratch (the root, and every node when
-    #: ``warm_start=False``).
+    #: LP relaxations solved from scratch (the root, every node when
+    #: ``warm_start=False``, and the children of a singular parent basis).
     cold_solves: int = 0
+    #: Basis inversions: one per branched node (shared by its children)
+    #: plus the LP engine's periodic refactorisations.
+    factorizations: int = 0
     #: Children whose LP gave up; each forfeits the optimality proof unless
     #: the incumbent prunes its (parent) bound.
     unresolved_nodes: int = 0
@@ -82,20 +86,45 @@ def _fractional_branch_var(problem: ILPProblem, values: np.ndarray) -> Optional[
 
 
 class _NodeSolver:
-    """Solves node relaxations, warm-starting from the parent when allowed."""
+    """Solves node relaxations, warm-starting from the parent when allowed.
+
+    The scaled constraint system is built once per ILP, and a branched
+    node's basis is inverted once (:meth:`factorize`) for both children.
+    """
 
     def __init__(self, problem: ILPProblem, warm_start: bool):
         self.problem = problem
         self.warm_start = warm_start
         self.lower, self.upper = problem.bounds()
-        if not warm_start:
+        if warm_start:
+            self.system = ScaledSystem(problem.objective, problem.a_ub,
+                                       problem.b_ub)
+        else:
             self.dense_a, self.dense_b = problem.dense_rows()
         self.lp_pivots = 0
         self.warm_solves = 0
         self.cold_solves = 0
+        self.factorizations = 0
+
+    def factorize(self, parent: LPResult) -> Optional[np.ndarray]:
+        """The inverse of *parent*'s basis, shared by all its children.
+
+        ``None`` means the children solve cold: warm starts are off, the
+        parent has no basis, or its basis is singular.
+        """
+        if not self.warm_start or parent.basis is None:
+            return None
+        self.factorizations += 1
+        try:
+            return self.system.invert(parent.basis)
+        except np.linalg.LinAlgError:
+            return None
 
     def solve(self, fixed: Dict[int, float],
-              parent: Optional[LPResult]) -> LPResult:
+              parent: Optional[LPResult] = None,
+              binv: Optional[np.ndarray] = None) -> LPResult:
+        """Solve the node that fixes *fixed*; warm from *parent* when *binv*
+        (from :meth:`factorize`) is given, cold otherwise."""
         if not self.warm_start:
             self.cold_solves += 1
             result = solve_lp_dense(self.problem.objective, self.dense_a,
@@ -107,19 +136,28 @@ class _NodeSolver:
         for var, value in fixed.items():
             lower[var] = value
             upper[var] = value
-        if parent is not None and parent.basis is not None:
+        if binv is not None:
             self.warm_solves += 1
             result = solve_bounded_lp(self.problem.objective, self.problem.a_ub,
                                       self.problem.b_ub, lower=lower,
                                       upper=upper, basis=parent.basis,
-                                      at_upper=parent.at_upper)
+                                      at_upper=parent.at_upper,
+                                      system=self.system, binv=binv.copy())
         else:
             self.cold_solves += 1
             result = solve_bounded_lp(self.problem.objective, self.problem.a_ub,
                                       self.problem.b_ub, lower=lower,
-                                      upper=upper)
+                                      upper=upper, system=self.system)
         self.lp_pivots += result.iterations
+        self.factorizations += result.factorizations
         return result
+
+    def stats_into(self, result: ILPResult) -> None:
+        """Copy the solve counters onto *result*."""
+        result.lp_pivots = self.lp_pivots
+        result.warm_solves = self.warm_solves
+        result.cold_solves = self.cold_solves
+        result.factorizations = self.factorizations
 
 
 def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
@@ -128,12 +166,11 @@ def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
     """Solve the placement ILP with best-first branch and bound."""
     counter = itertools.count()
     solver = _NodeSolver(problem, warm_start)
-    root = solver.solve({}, None)
+    root = solver.solve({})
     result = ILPResult(status="infeasible")
     if root.status is not LPStatus.OPTIMAL:
         result.status = root.status.value
-        result.lp_pivots = solver.lp_pivots
-        result.cold_solves = solver.cold_solves
+        solver.stats_into(result)
         return result
 
     best_objective = float("inf")
@@ -158,10 +195,11 @@ def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
                 best_objective = relaxation.objective
                 best_values = rounded
             continue
+        binv = solver.factorize(relaxation)
         for value in (1.0, 0.0):
             child_fixed: Dict[int, float] = dict(fixed)
             child_fixed[branch_var] = value
-            child = solver.solve(child_fixed, relaxation)
+            child = solver.solve(child_fixed, relaxation, binv)
             if child.status is LPStatus.INFEASIBLE:
                 continue
             if child.status is not LPStatus.OPTIMAL:
@@ -180,9 +218,7 @@ def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
                 continue
             heapq.heappush(heap, (child_bound, next(counter), child_fixed, child))
 
-    result.lp_pivots = solver.lp_pivots
-    result.warm_solves = solver.warm_solves
-    result.cold_solves = solver.cold_solves
+    solver.stats_into(result)
     result.unresolved_nodes = len(unresolved_bounds)
 
     if best_values is None:
@@ -191,10 +227,8 @@ def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
         if root.values is not None:
             rounded = {var: float(round(root.values[var]))
                        for var in problem.branch_vars}
-            repaired = solver.solve(rounded, root)
-            result.lp_pivots = solver.lp_pivots
-            result.warm_solves = solver.warm_solves
-            result.cold_solves = solver.cold_solves
+            repaired = solver.solve(rounded, root, solver.factorize(root))
+            solver.stats_into(result)
             if repaired.status is LPStatus.OPTIMAL:
                 result.status = "feasible"
                 result.objective = repaired.objective

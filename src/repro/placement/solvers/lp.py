@@ -57,11 +57,55 @@ class LPResult:
     at_upper: Optional[np.ndarray] = None
     #: Simplex pivots spent producing this result.
     iterations: int = 0
+    #: Basis inversions spent producing this result (a warm start's own
+    #: inversion and the periodic refactorisations).
+    factorizations: int = 0
 
 
 # =========================================================================== #
 # Bounded-variable revised simplex
 # =========================================================================== #
+class ScaledSystem:
+    """The node-invariant part of one bounded LP, built once and shared.
+
+    Holds the row-equilibrated matrix ``W = [A/‖A‖ | I]`` (every row of
+    ``A`` and its RHS divided by the row's inf-norm, so byte-sized McCormick
+    rows next to cycle-count execution-time rows pivot stably), the scaled
+    right-hand side, and the unit-scale objective padded with zero slack
+    costs.  Branch and bound only edits variable bounds, so every node of
+    one ILP shares one system.  Structural variable values are unaffected by
+    the scaling; only slack values are rescaled, and those are never
+    reported.
+    """
+
+    def __init__(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray):
+        c = np.asarray(c, dtype=float)
+        n = c.shape[0]
+        a_ub = np.asarray(a_ub, dtype=float)
+        if a_ub.size == 0:
+            a_ub = np.zeros((0, n))
+        b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+        m = a_ub.shape[0]
+        self.m, self.n = m, n
+        self.total = n + m
+        if m:
+            norms = np.maximum(np.abs(a_ub).max(axis=1), _EPS)
+            self.W = np.hstack([a_ub / norms[:, None], np.eye(m)])
+            self.b = b_ub / norms
+        else:
+            self.W = np.zeros((0, n))
+            self.b = b_ub.astype(float)
+        # Normalise the objective so reduced-cost tolerances are scale-free
+        # (the placement objective lives at the ~1e-9 J scale).
+        cost_scale = float(np.max(np.abs(c))) if c.size else 0.0
+        scaled_c = c / cost_scale if cost_scale > 0 else c
+        self.c = np.concatenate([scaled_c, np.zeros(m)])
+
+    def invert(self, basis: np.ndarray) -> np.ndarray:
+        """``inv(W[:, basis])``; raises ``LinAlgError`` if it is singular."""
+        return np.linalg.inv(self.W[:, basis])
+
+
 class _BoundedSimplex:
     """Revised simplex over ``min c.x  s.t.  A x + s = b, l <= x <= u, s >= 0``.
 
@@ -72,25 +116,15 @@ class _BoundedSimplex:
     pivots.
     """
 
-    def __init__(self, c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray):
-        m, n = a_ub.shape
+    def __init__(self, system: ScaledSystem, lower: np.ndarray,
+                 upper: np.ndarray):
+        m, n = system.m, system.n
+        self.system = system
         self.m, self.n = m, n
-        self.total = n + m
-        # Row equilibration: divide every row (and its RHS) by its inf-norm
-        # so mixed-scale constraint systems (byte-sized McCormick rows next
-        # to cycle-count execution-time rows) pivot stably.  Structural
-        # variable values are unaffected; only slack values are rescaled,
-        # and those are never reported.
-        if m:
-            norms = np.maximum(np.abs(a_ub).max(axis=1), _EPS)
-            a_scaled = a_ub / norms[:, None]
-            self.b = b_ub / norms
-            self.W = np.hstack([a_scaled, np.eye(m)])
-        else:
-            self.b = b_ub.astype(float)
-            self.W = np.zeros((0, n))
-        self.c = np.concatenate([c, np.zeros(m)])
+        self.total = system.total
+        self.W = system.W
+        self.b = system.b
+        self.c = system.c
         self.lower = np.concatenate([lower, np.zeros(m)])
         self.upper = np.concatenate([upper, np.full(m, np.inf)])
         self.basis = np.arange(n, self.total, dtype=int)
@@ -99,6 +133,9 @@ class _BoundedSimplex:
         self.at_upper = np.zeros(self.total, dtype=bool)
         self.Binv = np.eye(m)
         self.iterations = 0
+        #: Basis inversions performed by this engine (warm loads and
+        #: periodic refactorisations).
+        self.factorizations = 0
 
     # ------------------------------------------------------------------ #
     # Basis management
@@ -117,12 +154,21 @@ class _BoundedSimplex:
         self.at_upper[self.in_basis] = False
         self.Binv = np.eye(self.m)
 
-    def load_basis(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
-        """Adopt a caller-supplied basis (raises ``LinAlgError`` if singular)."""
+    def load_basis(self, basis: np.ndarray, at_upper: np.ndarray,
+                   binv: Optional[np.ndarray] = None) -> None:
+        """Adopt a caller-supplied basis (raises ``LinAlgError`` if singular).
+
+        ``binv``, when given, is ``inv(W[:, basis])`` computed by the caller
+        (see :meth:`ScaledSystem.invert`); the engine takes ownership of it
+        and updates it in place.
+        """
         basis = np.asarray(basis, dtype=int)
         if basis.shape != (self.m,):
             raise ValueError("warm-start basis has the wrong number of rows")
-        self.Binv = np.linalg.inv(self.W[:, basis])
+        if binv is None:
+            self.factorizations += 1
+            binv = self.system.invert(basis)
+        self.Binv = binv
         self.basis = basis.copy()
         self.in_basis = np.zeros(self.total, dtype=bool)
         self.in_basis[self.basis] = True
@@ -133,7 +179,8 @@ class _BoundedSimplex:
         self.at_upper[self.in_basis] = False
 
     def _refactor(self) -> None:
-        self.Binv = np.linalg.inv(self.W[:, self.basis])
+        self.factorizations += 1
+        self.Binv = self.system.invert(self.basis)
 
     def _update_basis(self, row: int, col: int, alpha: np.ndarray) -> int:
         """Pivot ``col`` into the basis at ``row``; returns the leaving column."""
@@ -142,9 +189,11 @@ class _BoundedSimplex:
         self.basis[row] = col
         self.in_basis[col] = True
         self.at_upper[col] = False
-        self.Binv[row] /= alpha[row]
-        others = np.arange(self.m) != row
-        self.Binv[others] -= np.outer(alpha[others], self.Binv[row])
+        # Rank-1 update in place: every row loses alpha_i times the new pivot
+        # row, then the pivot row itself is restored.
+        pivot_row = self.Binv[row] / alpha[row]
+        self.Binv -= np.outer(alpha, pivot_row)
+        self.Binv[row] = pivot_row
         self.iterations += 1
         if self.iterations % _REFACTOR_EVERY == 0:
             self._refactor()
@@ -309,23 +358,30 @@ def solve_bounded_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
                      upper: Optional[np.ndarray] = None,
                      basis: Optional[np.ndarray] = None,
                      at_upper: Optional[np.ndarray] = None,
-                     max_iterations: int = _MAX_ITERATIONS) -> LPResult:
+                     max_iterations: int = _MAX_ITERATIONS, *,
+                     system: Optional[ScaledSystem] = None,
+                     binv: Optional[np.ndarray] = None) -> LPResult:
     """Solve ``min c.x`` s.t. ``a_ub x <= b_ub`` and ``lower <= x <= upper``.
 
     With ``basis``/``at_upper`` from a previous :class:`LPResult` the solve is
     warm-started with the dual simplex — sound whenever only *bounds* changed
     since that basis was optimal, because reduced costs (and hence dual
-    feasibility) depend only on ``c`` and ``A``.  Cold solves start from the
-    all-slack basis: dual simplex directly when every negative-cost column
-    has a finite upper bound, otherwise a feasibility-only dual phase
-    followed by the primal simplex.
+    feasibility) depend only on ``c`` and ``A``.  A singular ``basis`` falls
+    back to a cold start.  Cold solves start from the all-slack basis: dual
+    simplex directly when every negative-cost column has a finite upper
+    bound, otherwise a feasibility-only dual phase followed by the primal
+    simplex.
+
+    Callers that solve many LPs over one ``(c, a_ub, b_ub)`` — branch and
+    bound — pass the prebuilt ``system`` (a :class:`ScaledSystem` of exactly
+    those arrays) and, for a warm start, ``binv = system.invert(basis)``,
+    which this solve then owns and updates in place.  Both only skip work:
+    the result is bitwise the same as without them.
     """
+    if system is None:
+        system = ScaledSystem(c, a_ub, b_ub)
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    a_ub = np.asarray(a_ub, dtype=float)
-    if a_ub.size == 0:
-        a_ub = np.zeros((0, n))
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+    n = system.n
     lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).copy()
     upper = (np.full(n, np.inf) if upper is None
              else np.asarray(upper, dtype=float).copy())
@@ -335,18 +391,13 @@ def solve_bounded_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
         return LPResult(LPStatus.INFEASIBLE)
     upper = np.maximum(upper, lower)
 
-    # Normalise the objective so reduced-cost tolerances are scale-free (the
-    # placement objective lives at the ~1e-9 J scale).
-    cost_scale = float(np.max(np.abs(c))) if c.size else 0.0
-    scaled_c = c / cost_scale if cost_scale > 0 else c
-
-    engine = _BoundedSimplex(scaled_c, a_ub, b_ub, lower, upper)
+    engine = _BoundedSimplex(system, lower, upper)
     costs = engine.c
 
     if basis is not None:
         try:
             engine.load_basis(basis, at_upper if at_upper is not None
-                              else np.zeros(engine.total, dtype=bool))
+                              else np.zeros(engine.total, dtype=bool), binv)
         except np.linalg.LinAlgError:
             basis = None
     if basis is not None:
@@ -365,12 +416,14 @@ def solve_bounded_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
             status = engine.dual(costs, max_iterations)
 
     if status is not LPStatus.OPTIMAL:
-        return LPResult(status, iterations=engine.iterations)
+        return LPResult(status, iterations=engine.iterations,
+                        factorizations=engine.factorizations)
     x = engine.solution()
     values = np.clip(x[:n], lower, upper)
     return LPResult(LPStatus.OPTIMAL, objective=float(c @ values), values=values,
                     basis=engine.basis.copy(), at_upper=engine.at_upper.copy(),
-                    iterations=engine.iterations)
+                    iterations=engine.iterations,
+                    factorizations=engine.factorizations)
 
 
 def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,

@@ -27,13 +27,15 @@ All paths produce bitwise-identical :class:`SimulationResult` values.  To
 make that hold under batching, energy is accounted uniformly as *event
 counts* per ``(cycles, fetch_region, instr_class, data_region)`` key and
 reduced to a float in one deterministic pass at the end of the run
-(:meth:`Simulator._finish`): identical counts give identical floats no
-matter which path — or what grouping — produced them.
+(:func:`price`): identical counts give identical floats no matter which
+path — or what grouping — produced them.  The result keeps the counts, so
+:meth:`SimulationResult.priced` re-prices a run under another energy model
+without simulating it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.isa.conditions import Cond, cond_holds
@@ -67,9 +69,33 @@ EXIT_TOKEN = 0xFFFFFFF1
 RETURN_TOKEN_BASE = 0xF0000000
 
 
+def price(energy_counts: Dict[Tuple, int], cycles: int,
+          energy_model: EnergyModel) -> Tuple[float, float]:
+    """``(energy_j, time_s)`` of a run's event counts under *energy_model*.
+
+    The keys are visited in one fixed order with one multiply-add per key,
+    so identical counts yield bitwise-identical energy no matter which
+    execution path (or what batching) produced them.
+    """
+    energy_j = energy_model.energy_j
+    total_energy = 0.0
+    for key in sorted(energy_counts,
+                      key=lambda k: (k[0], k[1], k[2], k[3] or "")):
+        key_cycles, fetch_region, klass_value, data_region = key
+        total_energy += energy_counts[key] * energy_j(
+            key_cycles, fetch_region, InstrClass(klass_value), data_region)
+    return total_energy, cycles * energy_model.cycle_time_s
+
+
 @dataclass
 class SimulationResult:
-    """Everything the evaluation harness needs from one program run."""
+    """Everything the evaluation harness needs from one program run.
+
+    ``energy_counts`` are the run's integer energy events per
+    ``(cycles, fetch_region, instr_class, data_region)`` key; ``energy_j``
+    and ``time_s`` are their price under the simulating energy model, and
+    :meth:`priced` re-prices them under another.
+    """
 
     return_value: int
     cycles: int
@@ -78,6 +104,14 @@ class SimulationResult:
     time_s: float
     profile: BlockProfile
     cycles_by_section: Dict[str, int] = field(default_factory=dict)
+    energy_counts: Dict[Tuple, int] = field(default_factory=dict, repr=False)
+
+    def priced(self, energy_model: EnergyModel) -> "SimulationResult":
+        """This run under *energy_model*: bitwise what simulating the same
+        program under that model gives, since the model changes only the
+        price of each event, never the execution."""
+        energy_j, time_s = price(self.energy_counts, self.cycles, energy_model)
+        return replace(self, energy_j=energy_j, time_s=time_s)
 
     @property
     def average_power_w(self) -> float:
@@ -196,12 +230,12 @@ class Simulator:
     def _finish(self, total_cycles: int, total_instructions: int,
                 energy_counts: Dict[Tuple, int], profile: BlockProfile,
                 cycles_by_section: Dict[str, int]) -> SimulationResult:
-        """Reduce the energy event counts and assemble the result.
+        """Check the event counts, then price them into the result.
 
         Every execution path accounts energy as integer event counts keyed
-        by ``(cycles, fetch_region, instr_class, data_region)``.  The
-        reduction here visits the keys in one fixed order with one
-        multiply-add per key, so identical counts yield bitwise-identical
+        by ``(cycles, fetch_region, instr_class, data_region)``.  The result
+        keeps the counts, and :func:`price` reduces them to ``energy_j`` in
+        one fixed order, so identical counts yield bitwise-identical
         ``energy_j`` regardless of which path (or what batching) produced
         them — integer counts are associative where float sums are not.
 
@@ -231,21 +265,16 @@ class Simulator:
             hub.add("sim.runs")
             hub.add("sim.instructions", total_instructions)
             hub.add("sim.cycles", total_cycles)
-        energy_j = self.energy_model.energy_j
-        total_energy = 0.0
-        for key in sorted(energy_counts,
-                          key=lambda k: (k[0], k[1], k[2], k[3] or "")):
-            cycles, fetch_region, klass_value, data_region = key
-            total_energy += energy_counts[key] * energy_j(
-                cycles, fetch_region, InstrClass(klass_value), data_region)
+        energy_j, time_s = price(energy_counts, total_cycles, self.energy_model)
         return SimulationResult(
             return_value=self.registers[0] & _MASK,
             cycles=total_cycles,
             instructions=total_instructions,
-            energy_j=total_energy,
-            time_s=total_cycles * self.energy_model.cycle_time_s,
+            energy_j=energy_j,
+            time_s=time_s,
             profile=profile,
             cycles_by_section=cycles_by_section,
+            energy_counts=energy_counts,
         )
 
     # ------------------------------------------------------------------ #

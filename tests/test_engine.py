@@ -3,6 +3,7 @@
 import pytest
 
 import repro.engine.cache as cache_module
+from repro.beebs import BENCHMARK_NAMES
 from repro.codegen import CompileOptions, compile_source
 from repro.engine import (
     ExperimentEngine,
@@ -168,6 +169,79 @@ def test_evaluate_suite_through_engine_matches_direct_runs():
     for row in rows:
         assert row.energy_change < 0
         assert row.blocks_moved > 0
+
+
+# --------------------------------------------------------------------------- #
+# The run memo: one simulation per distinct program, re-priced per model
+# --------------------------------------------------------------------------- #
+def exact(result):
+    """:func:`result_tuple` with the floats as hex, so -0.0 != 0.0."""
+    fields = list(result_tuple(result))
+    fields[3], fields[4] = result.energy_j.hex(), result.time_s.hex()
+    return tuple(fields) + (dict(result.energy_counts),)
+
+
+def two_energy_models():
+    from dataclasses import replace
+
+    from repro.explore import scaled_energy_model
+    slow = scaled_energy_model(2.5)
+    return (scaled_energy_model(1.25),
+            replace(slow, cycle_time_s=slow.cycle_time_s * 1.5))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_repricing_a_run_equals_a_fresh_simulation(name):
+    program = ProgramCache().get_benchmark(name, "O2")
+    first, second = two_energy_models()
+    run = Simulator(program, energy_model=first).run()
+    fresh = Simulator(program, energy_model=second).run()
+    assert exact(run.priced(second)) == exact(fresh)
+    assert exact(fresh.priced(first)) == exact(run)
+    assert run.energy_j != fresh.energy_j  # the models really differ
+
+
+def test_memoised_sweep_matches_a_fresh_simulation_per_cell(monkeypatch):
+    from repro.explore import SweepSpec, run_sweep
+    sweep = SweepSpec(benchmarks=("crc32", "fdct"), x_limits=(1.1, 1.5),
+                      flash_ram_ratios=(1.25, 2.5),
+                      timing_models=("flat", "pipelined+icache"))
+    real_run = Simulator.run
+    calls = []
+
+    def counting_run(simulator, *args, **kwargs):
+        calls.append(simulator.timing)
+        return real_run(simulator, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    engine = fresh_engine()
+    result = run_sweep(sweep, engine=engine, max_workers=1)
+    monkeypatch.setattr(Simulator, "run", real_run)
+    simulated = len(calls)
+
+    cache = ProgramCache()
+    distinct = set()
+    for cell, run in zip(result.cells, result.runs):
+        spec = cell.spec
+        model = cell.energy_model(engine.energy_model)
+        baseline = Simulator(cache.get_benchmark(spec.benchmark, spec.opt_level),
+                             energy_model=model,
+                             timing_model=spec.timing_model).run()
+        program = cache.get_benchmark_mutable(spec.benchmark, spec.opt_level)
+        config = PlacementConfig(x_limit=spec.x_limit,
+                                 timing_model=spec.timing_model)
+        solution = FlashRAMOptimizer(program, energy_model=model,
+                                     config=config).optimize()
+        optimized = Simulator(program, energy_model=model,
+                              timing_model=spec.timing_model).run()
+        assert solution.ram_blocks == run.solution.ram_blocks, cell.key
+        assert exact(run.baseline) == exact(baseline), cell.key
+        assert exact(run.optimized) == exact(optimized), cell.key
+        distinct.add((spec.benchmark, spec.timing_model, None))
+        distinct.add((spec.benchmark, spec.timing_model,
+                      frozenset(solution.ram_blocks)))
+    # Ratios never cost a simulation: one run per distinct program.
+    assert simulated == len(distinct) < 2 * sweep.size
 
 
 # --------------------------------------------------------------------------- #

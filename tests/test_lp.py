@@ -387,4 +387,137 @@ def test_optimizer_surfaces_solver_stats():
     assert stats["nodes_explored"] >= 1
     assert stats["lp_pivots"] > 0
     assert stats["cold_solves"] >= 1
+    # One inversion per branched node, shared by its (up to) two children.
+    assert stats["factorizations"] >= stats["warm_solves"] // 2
     assert stats["unresolved_nodes"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Shared per-node factorisation: children == standalone warm solves, bitwise
+# --------------------------------------------------------------------------- #
+def assert_same_lp(shared: LPResult, alone: LPResult) -> None:
+    assert shared.status is alone.status
+    assert shared.iterations == alone.iterations
+    assert float(shared.objective).hex() == float(alone.objective).hex()
+    for field in ("values", "basis", "at_upper"):
+        mine, theirs = getattr(shared, field), getattr(alone, field)
+        assert (mine is None) == (theirs is None), field
+        if mine is not None:
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field
+
+
+def check_children_against_standalone(monkeypatch, problem: ILPProblem):
+    """Solve *problem*, re-solving every warm child standalone from its
+    parent's basis; returns ``(result, children checked)``."""
+    import repro.placement.solvers.branch_and_bound as bb
+    real_solve = bb.solve_bounded_lp
+    real_factorize = bb._NodeSolver.factorize
+    shared, alone, factorized = [], [], []
+
+    def checking_solve(c, a_ub, b_ub, lower=None, upper=None, basis=None,
+                       at_upper=None, **kwargs):
+        result = real_solve(c, a_ub, b_ub, lower=lower, upper=upper,
+                            basis=basis, at_upper=at_upper, **kwargs)
+        shared.append(result.factorizations)
+        if kwargs.get("binv") is not None:
+            standalone = real_solve(c, a_ub, b_ub, lower=lower, upper=upper,
+                                    basis=basis, at_upper=at_upper)
+            assert_same_lp(result, standalone)
+            alone.append(standalone.factorizations - result.factorizations)
+        return result
+
+    def counting_factorize(self, parent):
+        binv = real_factorize(self, parent)
+        factorized.append(binv is not None)
+        return binv
+
+    monkeypatch.setattr(bb, "solve_bounded_lp", checking_solve)
+    monkeypatch.setattr(bb._NodeSolver, "factorize", counting_factorize)
+    result = solve_ilp(problem)
+    monkeypatch.undo()
+    assert result.warm_solves == len(alone)
+    # Standalone, each child inverts its parent's basis once more than the
+    # shared solve does; shared, a branched node inverts it once for both
+    # of its children.
+    assert alone == [1] * len(alone)
+    assert result.factorizations == sum(shared) + len(factorized)
+    # (The rounded-root repair after a fruitless search is a lone child.)
+    assert all(factorized) and result.warm_solves <= 2 * len(factorized)
+    return result, len(alone)
+
+
+@pytest.mark.parametrize("kernel", ["crc32", "fdct", "int_matmult", "2dfir"])
+def test_shared_factorisation_matches_standalone_children_on_beebs(
+        monkeypatch, kernel):
+    from repro.engine import default_cache
+    program = default_cache().get_benchmark_mutable(kernel, "O2")
+    optimizer = FlashRAMOptimizer(program, config=PlacementConfig())
+    model = optimizer.build_cost_model()
+    r_spare = optimizer.derive_r_spare()
+    children = 0
+    for x_limit in (1.02, 1.05, 1.1):
+        problem = build_placement_ilp(model, r_spare, x_limit)
+        result, checked = check_children_against_standalone(monkeypatch,
+                                                            problem)
+        assert result.status == "optimal", (kernel, x_limit)
+        children += checked
+    assert children >= 2  # at least one branched node per kernel
+
+
+def test_shared_factorisation_matches_standalone_children_on_random_ilps(
+        monkeypatch):
+    # The 200-problem generator of the bounded-engine fuzz above, lifted to
+    # 0/1 ILPs: every variable is binary and branchable.
+    rng = np.random.default_rng(2024)
+    children = 0
+    for trial in range(200):
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, 10))
+        c = rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 3))
+        a = rng.normal(size=(m, n))
+        b = rng.normal(size=m) + 0.5
+        problem = ILPProblem(objective=c, constant=0.0, a_ub=a, b_ub=b,
+                             var_names=[f"x{j}" for j in range(n)],
+                             branch_vars=list(range(n)),
+                             lower=np.zeros(n), upper=np.ones(n))
+        _, checked = check_children_against_standalone(monkeypatch, problem)
+        children += checked
+    assert children >= 100
+
+
+def test_singular_parent_basis_counts_both_children_as_cold():
+    from repro.placement.solvers.branch_and_bound import _NodeSolver
+    model = make_model()
+    problem = build_placement_ilp(model, r_spare=256, x_limit=1.3)
+    solver = _NodeSolver(problem, warm_start=True)
+    root = solver.solve({})
+    assert root.status is LPStatus.OPTIMAL
+    # Two copies of one column make the parent basis singular.
+    singular = root.basis.copy()
+    singular[1] = singular[0]
+    parent = LPResult(LPStatus.OPTIMAL, objective=root.objective,
+                      values=root.values, basis=singular,
+                      at_upper=root.at_upper)
+    binv = solver.factorize(parent)
+    assert binv is None
+    var = problem.branch_vars[0]
+    for value in (1.0, 0.0):
+        child = solver.solve({var: value}, parent, binv)
+        cold = solve_bounded_lp(problem.objective, problem.a_ub, problem.b_ub,
+                                lower=np.where(np.arange(problem.num_vars) == var,
+                                               value, problem.lower),
+                                upper=np.where(np.arange(problem.num_vars) == var,
+                                               value, problem.upper))
+        assert_same_lp(child, cold)
+    assert solver.warm_solves == 0
+    assert solver.cold_solves == 3  # the root and both children
+    assert solver.factorizations == 1  # the failed attempt is still counted
+    # Handed the singular basis directly, the LP engine falls back to a cold
+    # start too, and reports the attempted inversion.
+    fallback = solve_bounded_lp(problem.objective, problem.a_ub, problem.b_ub,
+                                lower=problem.lower, upper=problem.upper,
+                                basis=singular, at_upper=root.at_upper)
+    assert fallback.factorizations == 1
+    assert_same_lp(fallback, solve_bounded_lp(
+        problem.objective, problem.a_ub, problem.b_ub,
+        lower=problem.lower, upper=problem.upper))

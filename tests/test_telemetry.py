@@ -257,8 +257,15 @@ def test_local_sweep_is_byte_identical_with_telemetry(tmp_path, clean_hub):
     assert {"cell", "compile", "placement.solve", "simulate",
             "store.checkpoint"} <= names
     stats = trace_stats(tmp_path / "trace")
-    # One simulation per optimized cell plus the shared cached baseline.
-    assert stats["counters"].get("sim.runs", 0) >= SMALL_SWEEP.size + 1
+    # One simulation per distinct program: the baseline plus each distinct
+    # placed RAM set.  Every cell asks for its baseline and its placed run;
+    # each request the memo already holds counts as a memo hit instead.
+    records = traced.load_keyed("sweep").values()
+    programs = 1 + len({tuple(record["ram_blocks"]) for record in records})
+    runs = stats["counters"].get("sim.runs", 0)
+    assert runs == programs
+    assert runs + stats["counters"].get("sim.memo_hits", 0) == \
+        2 * SMALL_SWEEP.size
 
 
 def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
