@@ -9,23 +9,25 @@ cycle counts with RAM-contention stalls, per-cycle power depending on the
 fetch memory, per-block execution counts and return values for correctness
 checks.
 
-Three execution strategies share identical observable behaviour:
+Two execution loops share identical observable behaviour:
 
-* the **superblock fast path** (default): hot decoded blocks are chained
-  along their observed successor paths into trace-compiled superblocks
-  (:mod:`repro.sim.superblock`) with batched accounting and side-exit
-  guards;
-* the **decode-once path** (``superblocks=False``): blocks are lazily
-  lowered to predecoded instruction records (:mod:`repro.sim.decode`) with
-  pre-bound handlers, pre-resolved operands and precomputed cycle/energy
-  metadata, cached on the blocks themselves;
-* the **interpreted reference path** (``decode_once=False``): the original
-  per-instruction dispatch, kept as the bit-exact oracle the regression tests
-  compare the fast paths against.
+* the **decode-once loop** (default): blocks are lazily lowered to
+  predecoded instruction records (:mod:`repro.sim.decode`) with pre-bound
+  handlers, pre-resolved operands and precomputed cycle/energy metadata,
+  cached on the blocks themselves.  Under flat timing it also chains hot
+  blocks along their observed successor paths into trace-compiled
+  superblocks (:mod:`repro.sim.superblock`) with batched accounting and
+  side-exit guards; ``superblocks=False`` turns that tracing off.  Under a
+  pipelined timing model (:mod:`repro.sim.pipeline`) the same loop adds a
+  fetch stage and the load-use hazard per instruction, and never traces;
+* the **interpreted reference loop** (``decode_once=False``): the original
+  per-instruction dispatch under flat timing, kept as the bit-exact oracle
+  the regression tests compare the fast paths against.
 
-All paths produce bitwise-identical :class:`SimulationResult` values.  To
-make that hold under batching, energy is accounted uniformly as *event
-counts* per ``(cycles, fetch_region, instr_class, data_region)`` key and
+Under flat timing every path produces bitwise-identical
+:class:`SimulationResult` values.  To make that hold under batching, energy
+is accounted uniformly as *event counts* per
+``(cycles, fetch_region, instr_class, data_region)`` key and
 reduced to a float in one deterministic pass at the end of the run
 (:func:`price`): identical counts give identical floats no matter which
 path — or what grouping — produced them.  The result keeps the counts, so
@@ -41,13 +43,19 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.isa.conditions import Cond, cond_holds
 from repro.isa.instructions import Imm, InstrClass, MachineInstr, Opcode, RegList, Sym
 from repro.isa.registers import LR, PC, SP, Reg
-from repro.isa.timing import RAM_CONTENTION_STALL, cycles_for, instr_class
+from repro.isa.timing import (
+    FLASH_WAIT_STATES,
+    LOAD_USE_STALL,
+    RAM_CONTENTION_STALL,
+    cycles_for,
+    instr_class,
+)
 from repro.machine.blocks import MachineBlock, MachineFunction
 from repro.machine.program import MachineProgram
 from repro.sim.decode import SimulationError, predecode, resolve_symbol
 from repro.sim.energy import EnergyModel
 from repro.sim.memory import MemorySystem
-from repro.sim.pipeline import TimingSpec, run_pipelined
+from repro.sim.pipeline import TimingSpec
 from repro.sim.profiler import BlockProfile
 from repro.sim.superblock import (
     HOT_THRESHOLD,
@@ -136,13 +144,13 @@ class Simulator:
     """Executes a linked machine program and accounts cycles and energy.
 
     ``timing_model`` selects the cycle-accounting scheme: the default
-    ``"flat"`` keeps the three bit-exact execution paths described in the
-    module docstring; ``"pipelined"`` (optionally with ``+icache[:LxB]``)
-    switches to the 3-stage fetch/decode/execute accounting of
-    :mod:`repro.sim.pipeline`.  Pipelined runs always use their own
-    decode-once loop — the ``decode_once``/``superblocks`` flags only pick
-    between the flat paths — because superblocks batch statically
-    precomputed *flat* cycles.
+    ``"flat"`` or the 3-stage fetch/decode/execute accounting of
+    :mod:`repro.sim.pipeline` (``"pipelined"``, optionally with
+    ``+icache[:LxB]``).  ``decode_once=False`` picks the interpreted oracle,
+    which models flat timing only, so combining it with a pipelined model
+    raises :class:`ValueError`.  ``superblocks`` only matters under flat
+    timing: superblocks batch statically precomputed *flat* cycles, so
+    pipelined runs never form them.
     """
 
     def __init__(self, program: MachineProgram,
@@ -157,6 +165,11 @@ class Simulator:
         self.decode_once = decode_once
         self.superblocks = superblocks
         self.timing = TimingSpec.parse(timing_model)
+        if not decode_once and not self.timing.is_flat:
+            raise ValueError(
+                f"decode_once=False selects the interpreted oracle, which "
+                f"models flat timing only; got timing_model="
+                f"{self.timing.name!r}")
 
         self.memory = MemorySystem(program.flash, program.ram)
         self._init_data()
@@ -243,7 +256,7 @@ class Simulator:
         path bumps exactly one energy-event count and one section bucket per
         retired instruction/cycle, so the event total must equal the
         instruction total and the section buckets must sum to the cycle
-        total.  Batched superblock accounting, the pipelined loop and any
+        total.  Batched superblock accounting, the pipelined stage and any
         future path all feed the same counters — a silent drift between
         them would quietly skew ``energy_j``, which is the paper's core
         measurement, so the reconciliation is checked on every run (two
@@ -252,7 +265,7 @@ class Simulator:
         event_total = sum(energy_counts.values())
         if event_total != total_instructions:
             raise AssertionError(
-                f"energy-event counts do not reconcile with the decode-once "
+                f"energy-event counts do not reconcile with the retired "
                 f"instruction total: {event_total} events != "
                 f"{total_instructions} instructions")
         section_total = sum(cycles_by_section.values())
@@ -292,160 +305,48 @@ class Simulator:
         self.registers[SP.index] = self.program.ram.end
         self.registers[LR.index] = EXIT_TOKEN
 
-        if not self.timing.is_flat:
-            return run_pipelined(self, entry)
-        if not self.decode_once:
-            return self._run_interpreted(entry)
-        if self.superblocks:
-            return self._run_superblocked(entry)
-        return self._run_decoded(entry)
+        if self.decode_once:
+            return self._run_decode_once(entry)
+        return self._run_interpreted(entry)
 
     # ------------------------------------------------------------------ #
-    # Decode-once fast path
+    # The decode-once loop behind every fast path
     # ------------------------------------------------------------------ #
-    def _run_decoded(self, entry: str) -> SimulationResult:
-        program = self.program
-        functions = program.functions
-        max_instructions = self.max_instructions
+    def _run_decode_once(self, entry: str) -> SimulationResult:
+        """Execute predecoded blocks under any timing model.
 
-        profile = BlockProfile()
-        total_cycles = 0
-        total_instructions = 0
-        energy_counts: Dict[Tuple, int] = {}
-        counts_get = energy_counts.get
-        cycles_by_section = {"flash": 0, "ram": 0}
+        Each outer iteration applies one control transfer: it picks the next
+        block and the instruction to resume at, and on a block *entry* runs
+        the superblock prologue.  The inner loop then executes the block's
+        records until a taken transfer or the end of the block.
 
-        function_name = entry
-        block = functions[entry].entry_block
-        decoded = predecode(program, block)
-        records = decoded.records
-        fetch_region = decoded.fetch_region
-        fetch_is_ram = decoded.fetch_is_ram
-        index = 0
-        pending_cond: Optional[Cond] = None
-        block_cycle_start = 0
-        current_block_key = program.block_key(block)
-
-        while True:
-            if total_instructions > max_instructions:
-                raise SimulationError(
-                    f"instruction limit exceeded ({self.max_instructions}); "
-                    f"likely an infinite loop in {function_name}")
-
-            if index >= len(records):
-                # End of block without explicit control transfer: fall through.
-                profile.record(current_block_key, total_cycles - block_cycle_start)
-                next_name = block.fallthrough
-                if next_name is None:
-                    raise SimulationError(
-                        f"fell off the end of {function_name}/{block.name}")
-                block = functions[function_name].blocks[next_name]
-                decoded = predecode(program, block)
-                records = decoded.records
-                fetch_region = decoded.fetch_region
-                fetch_is_ram = decoded.fetch_is_ram
-                index = 0
-                block_cycle_start = total_cycles
-                current_block_key = program.block_key(block)
-                continue
-
-            record = records[index]
-
-            # --- predication (it blocks) ---------------------------------- #
-            if record.is_it:
-                pending_cond = record.cond
-                total_cycles += 1
-                total_instructions += 1
-                cycles_by_section[fetch_region] += 1
-                key = (1, fetch_region, _ALU_VALUE, None)
-                energy_counts[key] = counts_get(key, 0) + 1
-                index += 1
-                continue
-
-            if record.predicated:
-                condition = record.cond if record.cond is not None else pending_cond
-                if not cond_holds(condition, self.flag_n, self.flag_z,
-                                  self.flag_c, self.flag_v):
-                    total_cycles += 1
-                    total_instructions += 1
-                    cycles_by_section[fetch_region] += 1
-                    key = (1, fetch_region, _ALU_VALUE, None)
-                    energy_counts[key] = counts_get(key, 0) + 1
-                    index += 1
-                    continue
-
-            # --- execute --------------------------------------------------- #
-            data_region, transfer = record.run(self)
-
-            if record.conditional and transfer is None:
-                cycles = record.cycles_not_taken
-            else:
-                cycles = record.cycles_taken
-
-            # RAM bus contention: executing from RAM while touching RAM data.
-            if fetch_is_ram and data_region == "ram" and record.contention:
-                cycles += RAM_CONTENTION_STALL
-
-            total_cycles += cycles
-            total_instructions += 1
-            cycles_by_section[fetch_region] += cycles
-            key = (cycles, fetch_region, record.klass_value, data_region)
-            energy_counts[key] = counts_get(key, 0) + 1
-
-            if transfer is None:
-                index += 1
-                continue
-
-            kind, payload = transfer
-            profile.record(current_block_key, total_cycles - block_cycle_start)
-            block_cycle_start = total_cycles
-
-            if kind == "exit":
-                return self._finish(total_cycles, total_instructions,
-                                    energy_counts, profile, cycles_by_section)
-            if kind == "block":
-                target_function, target_block = payload
-                function_name = target_function
-                block = functions[target_function].blocks[target_block]
-                index = 0
-            elif kind == "call":
-                callee, return_site = payload
-                self.registers[LR.index] = self._intern_return_site(return_site)
-                function_name = callee
-                block = functions[callee].entry_block
-                index = 0
-            elif kind == "return":
-                site_function, site_block, site_index = payload
-                function_name = site_function
-                block = functions[site_function].blocks[site_block]
-                index = site_index
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown transfer kind {kind}")
-            decoded = predecode(program, block)
-            records = decoded.records
-            fetch_region = decoded.fetch_region
-            fetch_is_ram = decoded.fetch_is_ram
-            current_block_key = program.block_key(block)
-
-    # ------------------------------------------------------------------ #
-    # Superblock fast path: decode-once plus trace compilation of hot paths
-    # ------------------------------------------------------------------ #
-    def _run_superblocked(self, entry: str) -> SimulationResult:
-        """The decode-once loop, extended with trace-compiled superblocks.
-
-        Every arrival at the *start* of a block goes through the dispatch
-        prologue: an installed superblock is executed directly; otherwise the
-        block's hotness counter is bumped and, past :data:`HOT_THRESHOLD`,
-        the path execution takes next is recorded and compiled
-        (:func:`build_superblock`).  Blocks without superblocks — and block
-        tails re-entered mid-block after a call returns — run on the generic
-        decode-once machinery below, which is accounting-identical to
-        :meth:`_run_decoded`.
+        * **Tracing** (flat timing, ``superblocks=True``): at a block entry an
+          installed superblock runs directly; otherwise the block's hotness
+          counter is bumped and, past :data:`HOT_THRESHOLD`, the path
+          execution takes next is recorded and compiled
+          (:func:`build_superblock`).  A superblock hands its side exit back
+          as the next transfer.
+        * **Tracing off** (``superblocks=False``, and every pipelined run):
+          no superblock is formed or dispatched and no hotness is counted.
+          Superblocks batch flat cycles, so pipelined runs never trace.
+        * **Pipelined stage** (``timing_model="pipelined…"``): before each
+          instruction the fetch stage charges the flash wait states the
+          previous instruction's execute cycles do not hide, or looks the
+          fetch up in the icache, and a read of the previous load's
+          destination costs the load-use stall.  A taken transfer flushes
+          both; a fall-through keeps them.  Under flat timing the stage
+          costs one boolean test per instruction and its stalls stay zero.
         """
         program = self.program
         functions = program.functions
         max_instructions = self.max_instructions
-        superblocks, hot_counts = program.superblock_state()
+        timing = self.timing
+        pipelined = not timing.is_flat
+        tracing = self.superblocks and not pipelined
+        if tracing:
+            superblocks, hot_counts = program.superblock_state()
+        else:
+            superblocks, hot_counts = {}, {}
 
         profile = BlockProfile()
         total_cycles = 0
@@ -454,18 +355,10 @@ class Simulator:
         counts_get = energy_counts.get
         cycles_by_section = {"flash": 0, "ram": 0}
 
-        # Superblock telemetry: counted in plain locals (the dispatch prologue
-        # is hot) and published to the hub once, at finish.
+        # Superblock telemetry, kept in locals and published once at finish:
+        # how each dispatch ended, by the kind of transfer it handed back.
         sb_compiles = 0
-        sb_dispatches = 0
-        sb_side_exits = 0
-
-        def publish_counters() -> None:
-            hub = get_telemetry()
-            if hub.enabled:
-                hub.add("sim.superblock.compiles", sb_compiles)
-                hub.add("sim.superblock.dispatches", sb_dispatches)
-                hub.add("sim.superblock.side_exits", sb_side_exits)
+        sb_exits = {"block": 0, "call": 0, "return": 0, "exit": 0}
 
         # Trace recording state: payload list of the trace being recorded
         # (None when idle) plus a membership set for O(1) cycle detection.
@@ -481,78 +374,107 @@ class Simulator:
             trace = None
             trace_set = None
 
-        function_name = entry
-        block = functions[entry].entry_block
-        payload = (entry, block.name)
-        decoded = predecode(program, block)
-        records = decoded.records
-        fetch_region = decoded.fetch_region
-        fetch_is_ram = decoded.fetch_is_ram
-        index = 0
-        entering = True
+        # Pipeline state; every stall stays zero under flat timing.
+        lines = timing.icache_lines
+        miss_penalty = timing.miss_penalty
+        tags = [-1] * lines
+        icache_hits = 0
+        icache_misses = 0
+        line_memo: Dict[str, List[int]] = {}
+        line_ids: Optional[List[int]] = None
+        #: Fetch cycles the previous instruction's execute time can hide.
+        overlap = 0
+        #: Destination register of an immediately preceding load, else -1.
+        load_dst = -1
+        #: This instruction's fetch stall, and that plus any load-use stall.
+        stall = 0
+        exec_stall = 0
         pending_cond: Optional[Cond] = None
-        block_cycle_start = 0
-        current_block_key = program.block_key(block)
 
+        transfer = ("block", (entry, functions[entry].entry_block.name))
         while True:
-            if entering:
-                # ---- block-entry dispatch: superblocks and trace state ---- #
+            # ---- apply the control transfer ------------------------------ #
+            kind, target = transfer
+            block_cycle_start = total_cycles
+            if kind == "block":
+                function_name, block_name = target
+                block = functions[function_name].blocks[block_name]
+                payload = target
+                index = 0
+                entering = tracing
+            elif kind == "call":
+                # The superblock executor side-exits on call transfers, so a
+                # chain crossing one could never be followed: end the trace.
+                if trace is not None:
+                    compile_trace(False)
+                function_name, return_site = target
+                self.registers[LR.index] = self._intern_return_site(return_site)
+                block = functions[function_name].entry_block
+                payload = (function_name, block.name)
+                index = 0
+                entering = tracing
+            elif kind == "return":
+                # Re-enters the calling block mid-stream: not a block entry,
+                # likewise ends any live trace.
+                if trace is not None:
+                    compile_trace(False)
+                function_name, block_name, index = target
+                block = functions[function_name].blocks[block_name]
                 entering = False
+            elif kind == "exit":
+                hub = get_telemetry()
+                if hub.enabled:
+                    if tracing:
+                        hub.add("sim.superblock.compiles", sb_compiles)
+                        hub.add("sim.superblock.dispatches",
+                                sum(sb_exits.values()))
+                        for exit_kind in ("block", "call", "return"):
+                            hub.add(f"sim.superblock.exits.{exit_kind}",
+                                    sb_exits[exit_kind])
+                    if lines:
+                        hub.add("sim.icache.hits", icache_hits)
+                        hub.add("sim.icache.misses", icache_misses)
+                return self._finish(total_cycles, total_instructions,
+                                    energy_counts, profile, cycles_by_section)
+            else:  # pragma: no cover - defensive
+                raise SimulationError(f"unknown transfer kind {kind}")
+
+            if entering:
+                # ---- block-entry dispatch: superblocks ------------------- #
                 sb = superblocks.get(payload)
+                if sb is None and trace is not None and payload == trace[0]:
+                    # The trace closed back on its head: a loop.  Compile
+                    # it and dispatch the new superblock at once.
+                    compile_trace(True)
+                    sb = superblocks.get(payload)
                 if sb is not None:
                     if trace is not None:
                         # Chain the recorded prefix up to (not into) the
                         # existing superblock; execution continues inside it.
                         compile_trace(False)
-                    sb_dispatches += 1
-                    kind, target, total_cycles, total_instructions = \
+                    transfer, total_cycles, total_instructions = \
                         execute_superblock(self, sb, superblocks,
                                            total_cycles, total_instructions,
                                            cycles_by_section, energy_counts,
                                            profile, max_instructions)
-                    block_cycle_start = total_cycles
-                    if kind == "exit":
-                        publish_counters()
-                        return self._finish(total_cycles, total_instructions,
-                                            energy_counts, profile,
-                                            cycles_by_section)
-                    sb_side_exits += 1
-                    if kind == "block":
-                        function_name, target_block = target
-                        payload = target
-                        block = functions[function_name].blocks[target_block]
-                        index = 0
-                        entering = True
-                    elif kind == "call":
-                        callee, return_site = target
-                        self.registers[LR.index] = \
-                            self._intern_return_site(return_site)
-                        function_name = callee
-                        block = functions[callee].entry_block
-                        payload = (callee, block.name)
-                        index = 0
-                        entering = True
-                    elif kind == "return":
-                        site_function, site_block, site_index = target
-                        function_name = site_function
-                        block = functions[site_function].blocks[site_block]
-                        payload = (site_function, site_block)
-                        index = site_index
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(f"unknown transfer kind {kind}")
-                    decoded = predecode(program, block)
-                    records = decoded.records
-                    fetch_region = decoded.fetch_region
-                    fetch_is_ram = decoded.fetch_is_ram
-                    current_block_key = program.block_key(block)
+                    sb_exits[transfer[0]] += 1
                     continue
+
+            decoded = predecode(program, block)
+            records = decoded.records
+            end = len(records)
+            fetch_region = region = decoded.fetch_region
+            fetch_is_ram = decoded.fetch_is_ram
+            current_block_key = program.block_key(block)
+            if lines and not fetch_is_ram:
+                line_ids = line_memo.get(current_block_key)
+                if line_ids is None:
+                    line_ids = timing.icache_line_ids(block)
+                    line_memo[current_block_key] = line_ids
+
+            if entering:
+                # ---- block-entry trace state ----------------------------- #
                 if trace is not None:
-                    if payload == trace[0]:
-                        # The trace closed back on its head: a loop.  Compile
-                        # and immediately dispatch the new superblock.
-                        compile_trace(True)
-                        entering = True
-                        continue
                     if (payload in trace_set or not decoded.chainable
                             or len(trace) >= MAX_CHAIN):
                         compile_trace(False)
@@ -566,121 +488,107 @@ class Simulator:
                         trace = [payload]
                         trace_set = {payload}
 
-            # ---- generic decode-once execution (mirrors _run_decoded) ---- #
-            if total_instructions > max_instructions:
-                raise SimulationError(
-                    f"instruction limit exceeded ({self.max_instructions}); "
-                    f"likely an infinite loop in {function_name}")
-
-            if index >= len(records):
-                # End of block without explicit control transfer: fall through.
-                profile.record(current_block_key, total_cycles - block_cycle_start)
-                next_name = block.fallthrough
-                if next_name is None:
+            # ---- execute the block's records ----------------------------- #
+            while True:
+                if total_instructions > max_instructions:
                     raise SimulationError(
-                        f"fell off the end of {function_name}/{block.name}")
-                block = functions[function_name].blocks[next_name]
-                payload = (function_name, next_name)
-                decoded = predecode(program, block)
-                records = decoded.records
-                fetch_region = decoded.fetch_region
-                fetch_is_ram = decoded.fetch_is_ram
-                index = 0
-                entering = True
-                block_cycle_start = total_cycles
-                current_block_key = program.block_key(block)
-                continue
+                        f"instruction limit exceeded ({self.max_instructions}); "
+                        f"likely an infinite loop in {function_name}")
 
-            record = records[index]
+                if index >= end:
+                    # End of block without a taken transfer: fall through.
+                    # The pipeline keeps streaming across the boundary.
+                    profile.record(current_block_key,
+                                   total_cycles - block_cycle_start)
+                    if block.fallthrough is None:
+                        raise SimulationError(
+                            f"fell off the end of {function_name}/{block.name}")
+                    transfer = ("block", (function_name, block.fallthrough))
+                    break
 
-            # --- predication (it blocks) ---------------------------------- #
-            if record.is_it:
-                pending_cond = record.cond
-                total_cycles += 1
-                total_instructions += 1
-                cycles_by_section[fetch_region] += 1
-                key = (1, fetch_region, _ALU_VALUE, None)
-                energy_counts[key] = counts_get(key, 0) + 1
-                index += 1
-                continue
+                record = records[index]
 
-            if record.predicated:
-                condition = record.cond if record.cond is not None else pending_cond
-                if not cond_holds(condition, self.flag_n, self.flag_z,
-                                  self.flag_c, self.flag_v):
-                    total_cycles += 1
+                if pipelined:
+                    # --- fetch stage ------------------------------------- #
+                    if fetch_is_ram:
+                        stall = 0
+                    elif lines:
+                        line = line_ids[index]
+                        slot = line % lines
+                        if tags[slot] == line:
+                            # Hit: single-cycle fetch from cache SRAM,
+                            # charged at RAM fetch power.
+                            region = "ram"
+                            stall = 0
+                            icache_hits += 1
+                        else:
+                            tags[slot] = line
+                            region = "flash"
+                            icache_misses += 1
+                            stall = miss_penalty - overlap
+                            if stall < 0:
+                                stall = 0
+                    else:
+                        stall = FLASH_WAIT_STATES - overlap
+                        if stall < 0:
+                            stall = 0
+                    # Load-use hazard: reading the previous load's
+                    # destination, paid only if the instruction executes.
+                    if load_dst >= 0 and load_dst in record.reads:
+                        exec_stall = stall + LOAD_USE_STALL
+                    else:
+                        exec_stall = stall
+
+                # --- predication (it blocks) ----------------------------- #
+                if record.is_it or record.predicated and not cond_holds(
+                        pending_cond if record.cond is None else record.cond,
+                        self.flag_n, self.flag_z, self.flag_c, self.flag_v):
+                    # The it prefix itself, or a predicated instruction
+                    # whose condition fails: one ALU cycle, no effect.
+                    if record.is_it:
+                        pending_cond = record.cond
+                    cycles = 1 + stall
+                    total_cycles += cycles
                     total_instructions += 1
-                    cycles_by_section[fetch_region] += 1
-                    key = (1, fetch_region, _ALU_VALUE, None)
+                    cycles_by_section[region] += cycles
+                    key = (cycles, region, _ALU_VALUE, None)
                     energy_counts[key] = counts_get(key, 0) + 1
+                    overlap = cycles - 1
+                    load_dst = -1
                     index += 1
                     continue
 
-            # --- execute --------------------------------------------------- #
-            data_region, transfer = record.run(self)
+                # --- execute --------------------------------------------- #
+                data_region, transfer = record.run(self)
 
-            if record.conditional and transfer is None:
-                cycles = record.cycles_not_taken
-            else:
-                cycles = record.cycles_taken
+                if record.conditional and transfer is None:
+                    cycles = record.cycles_not_taken + exec_stall
+                else:
+                    cycles = record.cycles_taken + exec_stall
 
-            # RAM bus contention: executing from RAM while touching RAM data.
-            if fetch_is_ram and data_region == "ram" and record.contention:
-                cycles += RAM_CONTENTION_STALL
+                # RAM bus contention: executing from RAM while touching RAM
+                # data.
+                if fetch_is_ram and data_region == "ram" and record.contention:
+                    cycles += RAM_CONTENTION_STALL
 
-            total_cycles += cycles
-            total_instructions += 1
-            cycles_by_section[fetch_region] += cycles
-            key = (cycles, fetch_region, record.klass_value, data_region)
-            energy_counts[key] = counts_get(key, 0) + 1
+                total_cycles += cycles
+                total_instructions += 1
+                cycles_by_section[region] += cycles
+                key = (cycles, region, record.klass_value, data_region)
+                energy_counts[key] = counts_get(key, 0) + 1
 
-            if transfer is None:
-                index += 1
-                continue
+                if transfer is None:
+                    overlap = cycles - 1
+                    load_dst = record.load_dst
+                    index += 1
+                    continue
 
-            kind, target = transfer
-            profile.record(current_block_key, total_cycles - block_cycle_start)
-            block_cycle_start = total_cycles
-
-            if kind == "exit":
-                publish_counters()
-                return self._finish(total_cycles, total_instructions,
-                                    energy_counts, profile, cycles_by_section)
-            if kind == "block":
-                function_name, target_block = target
-                payload = target
-                block = functions[function_name].blocks[target_block]
-                index = 0
-                entering = True
-            elif kind == "call":
-                # The superblock executor side-exits on call transfers, so a
-                # chain crossing one could never be followed: end the trace.
-                if trace is not None:
-                    compile_trace(False)
-                callee, return_site = target
-                self.registers[LR.index] = self._intern_return_site(return_site)
-                function_name = callee
-                block = functions[callee].entry_block
-                payload = (callee, block.name)
-                index = 0
-                entering = True
-            elif kind == "return":
-                # Re-enters the calling block mid-stream: not a block entry,
-                # likewise ends any live trace.
-                if trace is not None:
-                    compile_trace(False)
-                site_function, site_block, site_index = target
-                function_name = site_function
-                block = functions[site_function].blocks[site_block]
-                payload = (site_function, site_block)
-                index = site_index
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown transfer kind {kind}")
-            decoded = predecode(program, block)
-            records = decoded.records
-            fetch_region = decoded.fetch_region
-            fetch_is_ram = decoded.fetch_is_ram
-            current_block_key = program.block_key(block)
+                # A taken transfer flushes the pipeline.
+                overlap = 0
+                load_dst = -1
+                profile.record(current_block_key,
+                               total_cycles - block_cycle_start)
+                break
 
     # ------------------------------------------------------------------ #
     # Interpreted reference path (the seed implementation, kept as oracle)

@@ -32,7 +32,7 @@ the successor path that was actually observed:
   superblock (a trace that closes back on its head runs whole loop
   iterations without ever touching the outer dispatch loop); any other
   outcome is a **side exit** that hands the ordinary transfer back to the
-  generic decode-once loop;
+  simulator's decode-once loop;
 * fetch-region and contention flags are hoisted: each constituent block's
   section is static, so its ``cycles_by_section`` bucket and the
   fetch-is-RAM half of the contention predicate are baked into the steps.
@@ -55,10 +55,10 @@ re-layout — in particular the flash-RAM placement transformation — discards
 them wholesale and the next run re-forms them from fresh observations.
 
 Superblocks are **flat-timing only**: their batched accounting bakes in the
-flat cycle model, so a simulator constructed with a pipelined
-``timing_model`` (:mod:`repro.sim.pipeline`) side-exits before this layer —
-``Simulator.run`` dispatches to ``run_pipelined`` ahead of the decode-once
-and superblock paths, and never forms or executes superblocks.
+flat cycle model, so under a pipelined ``timing_model``
+(:mod:`repro.sim.pipeline`) the decode-once loop runs with tracing off — it
+never counts hotness, forms or executes superblocks, exactly as with
+``superblocks=False``.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ MAX_CHAIN = 16
 
 #: Step tags (plain ints: fastest to dispatch on in the executor).  Energy
 #: keys are ``(cycles, fetch_region, klass_value, data_region)`` tuples — the
-#: same shape the generic loops build, with the InstrClass *value* string so
+#: same shape the simulator loops build, with the InstrClass *value* string so
 #: dict operations never call the Python-level ``Enum.__hash__``.
 STEP_BATCH = 0   # (tag, runs, n, cycles, energy_items)
 STEP_MEM = 1     # (tag, run, cycles, ekey_ram, ekey_flash, ekey_none)
@@ -331,7 +331,7 @@ def build_superblock(program: MachineProgram,
     ``loop=True`` means the block executed after ``trace[-1]`` was
     ``trace[0]`` again, so the chain wraps around on itself.  Returns
     ``None`` when any traced block is ineligible (the caller then leaves
-    the trace uncompiled and execution stays on the generic path).
+    the trace uncompiled and execution stays on the decode-once loop).
     """
     if not trace:
         return None
@@ -356,7 +356,7 @@ def execute_superblock(sim, sb: Superblock, superblocks: Dict[Tuple[str, str], S
                        cycles_by_section: Dict[str, int],
                        energy_counts: Dict[tuple, int], profile,
                        max_instructions: int
-                       ) -> Tuple[str, object, int, int]:
+                       ) -> Tuple[Tuple[str, object], int, int]:
     """Run *sb* until a side exit; returns the pending transfer + totals.
 
     The caller owns all accounting state: ``cycles_by_section``,
@@ -364,8 +364,8 @@ def execute_superblock(sim, sb: Superblock, superblocks: Dict[Tuple[str, str], S
     totals travel through the return value.  A side exit whose ``"block"``
     target has its own superblock in *superblocks* chains straight into it
     (ping-ponging hot paths never touch the outer dispatch loop).  The
-    returned ``(kind, payload)`` is exactly the transfer the generic loop
-    would have seen (with end-of-block fallthrough normalised to a
+    returned ``(kind, payload)`` transfer is exactly the one the decode-once
+    loop would have seen (with end-of-block fallthrough normalised to a
     ``"block"`` transfer, which is dispatch-equivalent), and the profile
     entry for the block that produced it has already been recorded.
     """
@@ -407,4 +407,4 @@ def execute_superblock(sim, sb: Superblock, superblocks: Dict[Tuple[str, str], S
                 nodes = target.nodes
                 index = 0
                 continue
-        return kind, payload, total_cycles, total_instructions
+        return transfer, total_cycles, total_instructions

@@ -103,6 +103,16 @@ def test_pipelined_runs_are_deterministic():
         assert repr(first.energy_j) == repr(second.energy_j)
 
 
+def test_interpreted_oracle_rejects_pipelined_timing():
+    # The interpreted oracle models flat timing only.
+    program = compile_benchmark(get_benchmark("crc32"), "O2")
+    for model in ("pipelined", "pipelined+icache", "pipelined+icache:32x8"):
+        with pytest.raises(ValueError, match="decode_once=False"):
+            Simulator(program, decode_once=False, timing_model=model)
+    oracle = Simulator(program, decode_once=False, timing_model="flat").run()
+    assert oracle == Simulator(program).run()
+
+
 def test_flat_run_unchanged_by_timing_plumbing():
     # A simulator constructed without the argument and one constructed with
     # the explicit default must behave identically (same code path).

@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (CFGView, branch_probabilities, compute_dominators,
                             find_natural_loops, immediate_dominators,
-                            loop_depths, reachable_blocks)
+                            loop_depths, reachable_blocks,
+                            verify_machine_program)
 from repro.frontend.lexer import tokenize
 from repro.irgen.lowering import bits_to_float, float_to_bits
 from repro.machine.frame import FrameLayout
 from repro.passes.constant_folding import evaluate_condition, fold_binop
 from repro.placement.cost_model import PlacementCostModel
 from repro.placement.parameters import BlockParameters
-from tests.conftest import compile_and_run
+from repro.sim import Simulator
+from repro.sim.superblock import HOT_THRESHOLD
+from repro.transform.relocation import apply_placement
+from tests.conftest import compile_and_run, compile_program
 
 int32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 small_int = st.integers(min_value=0, max_value=200)
@@ -253,3 +257,122 @@ def test_compiled_expression_matches_python(a, b, c):
     quotient = int((a + c) / c)
     expected = (a * b + c) - (a - b) * 2 + quotient
     assert compile_and_run(source, "O1").signed_return_value == expected
+
+
+# --------------------------------------------------------------------------- #
+# Differential referee: every simulator path on generated mini-C programs
+# --------------------------------------------------------------------------- #
+_ARITH_OPS = ("+", "-", "*", "&", "|", "^")
+_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _expression(draw, names, depth):
+    """A side-effect-free int expression over *names* (no division)."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return draw(st.sampled_from(names))
+        return str(draw(st.integers(min_value=0, max_value=300)))
+    kind = draw(st.integers(min_value=0, max_value=2))
+    left = _expression(draw, names, depth - 1)
+    if kind == 1:
+        shift = draw(st.sampled_from(("<<", ">>")))
+        return f"({left} {shift} {draw(st.integers(min_value=0, max_value=7))})"
+    op = draw(st.sampled_from(_ARITH_OPS if kind == 0 else _COMPARISONS))
+    return f"({left} {op} {_expression(draw, names, depth - 1)})"
+
+
+def _statement(draw, names):
+    """One loop-body statement: assignment, call, if/else or buffer access."""
+    def expr():
+        return _expression(draw, names, 2)
+    kind = draw(st.integers(min_value=0, max_value=4))
+    if kind == 0:
+        return f"acc = {expr()};"
+    if kind == 1:
+        return f"acc += helper({expr()}, {expr()});"
+    if kind == 2:
+        compare = draw(st.sampled_from(_COMPARISONS))
+        return (f"if ({expr()} {compare} {expr()}) {{ acc = {expr()}; }} "
+                f"else {{ acc = {expr()}; }}")
+    if kind == 3:
+        return f"buf[({expr()}) & 7] = {expr()};"
+    return f"acc ^= buf[({expr()}) & 7];"
+
+
+@st.composite
+def mini_c_programs(draw):
+    """A terminating mini-C program with calls, conditionals and loops.
+
+    The outer loop runs more than ``HOT_THRESHOLD`` iterations, so its
+    blocks become hot and are traced into superblocks; an optional inner
+    loop nests a second hot path inside it.
+    """
+    def body(names):
+        count = draw(st.integers(min_value=1, max_value=3))
+        return " ".join(_statement(draw, names) for _ in range(count))
+
+    params = ("x", "y")
+    compare = draw(st.sampled_from(_COMPARISONS))
+    inner = draw(st.integers(min_value=0, max_value=5))
+    inner_loop = (f"for (int j = 0; j < {inner}; ++j) {{ "
+                  f"{body(('acc', 'i', 'j'))} }}" if inner else "")
+    iterations = draw(st.integers(min_value=HOT_THRESHOLD + 1, max_value=40))
+    return f"""
+        int buf[8];
+        int helper(int x, int y) {{
+            int r = {_expression(draw, params, 2)};
+            if ({_expression(draw, params, 1)} {compare}
+                {_expression(draw, params, 1)}) {{
+                r = {_expression(draw, params, 2)};
+            }}
+            return r;
+        }}
+        int main(void) {{
+            int acc = {draw(st.integers(min_value=0, max_value=1000))};
+            for (int i = 0; i < {iterations}; ++i) {{
+                {body(('acc', 'i'))}
+                {inner_loop}
+            }}
+            return acc;
+        }}
+    """
+
+
+#: Far above what a generated program retires (a few thousand
+#: instructions), so a simulator bug that loops fails fast.
+_INSTRUCTION_LIMIT = 500_000
+
+
+def _assert_fast_paths_match_oracle(program):
+    """Every flat fast path is bitwise the interpreted run; pipelined and
+    icache runs return its value.  Returns the oracle's result."""
+    def run(**options):
+        return Simulator(program, max_instructions=_INSTRUCTION_LIMIT,
+                         **options).run()
+
+    oracle = run(decode_once=False)
+    assert run(superblocks=False) == oracle
+    assert run() == oracle   # cold: forms superblocks
+    assert run() == oracle   # warm: dispatches them
+    for model in ("pipelined", "pipelined+icache"):
+        assert run(timing_model=model).return_value == oracle.return_value
+    return oracle
+
+
+@given(mini_c_programs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_simulator_paths_agree_on_generated_programs(source, data):
+    program = compile_program(source, "O2")
+    unplaced = _assert_fast_paths_match_oracle(program)
+    assert program.superblock_state()[0], "no superblock was formed"
+
+    # An arbitrary RAM set, not just the ones the ILP would pick: mixed
+    # placements instrument cross-memory branches (it-predicated long
+    # branches) and fetch from both memories.
+    keys = [program.block_key(block) for block in program.iter_blocks()]
+    in_ram = data.draw(st.lists(st.booleans(), min_size=len(keys),
+                                max_size=len(keys)))
+    apply_placement(program, [key for key, ram in zip(keys, in_ram) if ram])
+    placed = _assert_fast_paths_match_oracle(program)
+    assert placed.return_value == unplaced.return_value
+    assert verify_machine_program(program) == []

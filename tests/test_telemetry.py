@@ -218,6 +218,47 @@ def test_simulator_finish_rejects_unreconciled_counts():
 
 
 # --------------------------------------------------------------------------- #
+# Superblock exit counters
+# --------------------------------------------------------------------------- #
+EXIT_KINDS = ("block", "call", "return")
+
+
+def superblock_counter_deltas(run) -> dict:
+    """The ``sim.superblock.*`` counters one call of *run* adds."""
+    hub = get_telemetry()
+    before = hub.snapshot()["counters"]
+    run()
+    after = hub.snapshot()["counters"]
+    return {name[len("sim.superblock."):]: after[name] - before.get(name, 0)
+            for name in after if name.startswith("sim.superblock.")}
+
+
+def test_superblock_exits_by_kind_account_for_every_dispatch(tmp_path,
+                                                             clean_hub):
+    configure_telemetry(tmp_path / "trace", role="main")
+    seen = dict.fromkeys(EXIT_KINDS, 0)
+    for name in ("crc32", "2dfir"):
+        program = ProgramCache().get_benchmark(name, "O2")
+        for _ in range(2):  # cold (forms superblocks), then warm
+            deltas = superblock_counter_deltas(Simulator(program).run)
+            exits = sum(deltas[f"exits.{kind}"] for kind in EXIT_KINDS)
+            # Every dispatch ends in one side exit, except a final dispatch
+            # that runs the program to its exit.
+            assert deltas["dispatches"] > 0
+            assert exits in (deltas["dispatches"], deltas["dispatches"] - 1)
+            assert "side_exits" not in deltas
+            for kind in EXIT_KINDS:
+                seen[kind] += deltas[f"exits.{kind}"]
+        # Runs with tracing off publish no superblock counters at all.
+        for options in ({"superblocks": False},
+                        {"timing_model": "pipelined+icache"}):
+            deltas = superblock_counter_deltas(
+                Simulator(program, **options).run)
+            assert not any(deltas.values()), options
+    assert all(seen.values()), seen
+
+
+# --------------------------------------------------------------------------- #
 # Pool cache-stats aggregation (satellite: stats cross the pool)
 # --------------------------------------------------------------------------- #
 def test_pool_worker_cache_stats_are_merged(clean_hub):
