@@ -10,11 +10,14 @@ Every figure, benchmark and example funnels through
 3. deep-copies the pristine program for the placement optimizer, which
    rewrites blocks in place, and simulates the optimized copy.
 
-Simulations go through one **run memo**: a program is simulated once per
-distinct ``(benchmark, opt level, timing model, placement)``, where the
-placement is ``None`` for the baseline and ``(frozenset(ram_blocks),
-stack_reserve)`` for a placed program — the two inputs that determine what
-the relocation transform builds.  A run keeps its integer energy-event
+Simulations go through one **run memo**: a program is executed once per
+distinct ``(benchmark, opt level, placement)``, where the placement is
+``None`` for the baseline and ``(frozenset(ram_blocks), stack_reserve)`` for
+a placed program — the two inputs that determine what the relocation
+transform builds.  Timing models change only how cycles are counted, so
+that one execution is clocked under every timing model of the
+:meth:`ExperimentEngine.run_cells` batch (pool tasks carry the set) and the
+memo keeps one result per model.  A run keeps its integer energy-event
 counts, so a memo hit is re-priced under the asking engine's energy model
 (:meth:`~repro.sim.SimulationResult.priced`), bitwise what a fresh
 simulation would give.
@@ -49,7 +52,7 @@ from repro.engine.cache import ProgramCache, default_cache
 from repro.engine.results import BenchmarkRun
 from repro.machine.program import MachineProgram
 from repro.placement import FlashRAMOptimizer, PlacementConfig
-from repro.sim import EnergyModel, SimulationResult, Simulator
+from repro.sim import EnergyModel, SimulationResult, Simulator, TimingSpec
 from repro.telemetry import get_telemetry
 
 
@@ -126,9 +129,13 @@ class ExperimentEngine:
         #: ``cache_dir`` locally, but its directory still propagates).
         self.cache_dir = self.cache.cache_dir if cache is not None else cache_dir
         self.max_workers = max_workers
-        #: The run memo: ``(benchmark, opt level, timing model, placement)``
-        #: → ``(energy model it was priced under, result)``.
-        self._runs: Dict[Tuple, Tuple[EnergyModel, SimulationResult]] = {}
+        #: The run memo: ``(benchmark, opt level, placement)`` → timing
+        #: model → ``[energy model it was priced under, result, served]``,
+        #: where *served* records whether a request has taken the result.
+        self._runs: Dict[Tuple, Dict[str, List]] = {}
+        #: Timing models every simulation clocks (set per ``run_cells``
+        #: batch): one execution of a program serves all of them.
+        self._clock_models: Tuple[str, ...] = ()
         #: Latest cache-stats snapshot per pool worker, keyed by
         #: ``(pool_epoch, pid)`` — pids can be reused across pools, and each
         #: worker's snapshot is cumulative within its pool, so "latest per
@@ -160,23 +167,33 @@ class ExperimentEngine:
                   stage: str) -> SimulationResult:
         """One memoised run, priced under this engine's energy model.
 
-        *program* supplies the program to simulate on a memo miss.
+        *program* supplies the program to simulate on a memo miss.  The
+        miss clocks the one execution under *timing_model* and every other
+        timing model of the current batch the memo lacks, so later cells
+        of the batch find their runs there.  A request that takes a result
+        another request already took counts as a memo hit.
         """
         hub = get_telemetry()
-        key = (name, opt_level, timing_model, placement)
-        memo = self._runs.get(key)
-        if memo is not None:
-            if hub.enabled:
-                hub.add("sim.memo_hits")
-            model, result = memo
-            return (result if model == self.energy_model
-                    else result.priced(self.energy_model))
-        target = program()
-        with hub.span("simulate", stage=stage):
-            result = Simulator(target, energy_model=self.energy_model,
-                               timing_model=timing_model).run()
-        self._runs[key] = (self.energy_model, result)
-        return result
+        runs = self._runs.setdefault((name, opt_level, placement), {})
+        memo = runs.get(timing_model)
+        if memo is None:
+            models = [timing_model] + [model for model in self._clock_models
+                                       if model not in runs]
+            target = program()
+            with hub.span("simulate", stage=stage, clocks=len(models)):
+                simulator = Simulator(target, energy_model=self.energy_model,
+                                      timing_model=models)
+                simulator.run()
+            for model in models:
+                runs[model] = [self.energy_model, simulator.results[
+                    TimingSpec.parse(model).name], False]
+            memo = runs[timing_model]
+        elif memo[2] and hub.enabled:
+            hub.add("sim.memo_hits")
+        memo[2] = True
+        model, result, _ = memo
+        return (result if model == self.energy_model
+                else result.priced(self.energy_model))
 
     def _baseline(self, name: str, opt_level: str,
                   timing_model: str = "flat") -> SimulationResult:
@@ -240,11 +257,21 @@ class ExperimentEngine:
                             fb_report=fb_report)
 
     def run_spec(self, spec: ExperimentSpec) -> BenchmarkRun:
-        """Run one grid cell."""
+        """Run one grid cell.
+
+        Its ``cell`` span carries the cell's knobs, the requested
+        ``r_spare`` and the ``flash_ram_ratio`` of this engine's energy
+        model (``e_flash / e_ram`` to six decimals: a sweep's ratio, or
+        1.685185 for the calibrated model).
+        """
         timing_model = getattr(spec, "timing_model", "flat")
+        model = self.energy_model
         with get_telemetry().span("cell", benchmark=spec.benchmark,
                                   opt_level=spec.opt_level,
-                                  x_limit=spec.x_limit, solver=spec.solver,
+                                  x_limit=spec.x_limit, r_spare=spec.r_spare,
+                                  flash_ram_ratio=round(
+                                      model.e_flash / model.e_ram, 6),
+                                  solver=spec.solver,
                                   frequency_mode=spec.frequency_mode,
                                   timing_model=timing_model):
             if not spec.optimize:
@@ -278,7 +305,9 @@ class ExperimentEngine:
         """Run one cell, optionally under a cell-specific energy model."""
         if energy_model is None:
             return self.run_spec(spec)
-        return self._engine_for_model(energy_model).run_spec(spec)
+        engine = self._engine_for_model(energy_model)
+        engine._clock_models = self._clock_models
+        return engine.run_spec(spec)
 
     def run_cells(self,
                   cells: Sequence[Tuple[ExperimentSpec, Optional[EnergyModel]]],
@@ -294,6 +323,10 @@ class ExperimentEngine:
         sequential path does, so parallel and sequential runs are bitwise
         identical.
 
+        Every simulation the batch misses is clocked under all the timing
+        models its cells use, so a program runs once for the whole batch
+        whatever the timing axis.
+
         ``progress`` (when given) is called as ``progress(done, total)``
         after each completed cell — on the pool path, after each in-order
         result is collected — purely for live reporting; it never affects
@@ -305,13 +338,19 @@ class ExperimentEngine:
         if workers is None:
             workers = os.cpu_count() or 1
         workers = min(workers, len(resolved)) if resolved else 1
+        clock_models = tuple(dict.fromkeys(spec.timing_model
+                                           for spec, _ in resolved))
 
         if workers <= 1 or len(resolved) <= 1:
             sequential: List[BenchmarkRun] = []
-            for spec, model in resolved:
-                sequential.append(self.run_cell(spec, model))
-                if progress is not None:
-                    progress(len(sequential), len(resolved))
+            outer, self._clock_models = self._clock_models, clock_models
+            try:
+                for spec, model in resolved:
+                    sequential.append(self.run_cell(spec, model))
+                    if progress is not None:
+                        progress(len(sequential), len(resolved))
+            finally:
+                self._clock_models = outer
             return sequential
 
         # Keep same-(benchmark, level) cells on one worker so its per-process
@@ -324,8 +363,8 @@ class ExperimentEngine:
         order = sorted(range(len(resolved)),
                        key=lambda i: (resolved[i][0].benchmark,
                                       resolved[i][0].opt_level, i))
-        tasks = [(resolved[i][0], resolved[i][1], self.cache_dir)
-                 for i in order]
+        tasks = [(resolved[i][0], resolved[i][1], self.cache_dir,
+                  clock_models) for i in order]
         chunksize = -(-len(tasks) // workers)
         self._pool_epoch += 1
         epoch = self._pool_epoch
@@ -390,18 +429,21 @@ def _worker_cache_stats() -> Dict[str, int]:
     return totals
 
 
-def _grid_worker(payload: Tuple[ExperimentSpec, EnergyModel, Optional[str]]
+def _grid_worker(payload: Tuple[ExperimentSpec, EnergyModel, Optional[str],
+                                Tuple[str, ...]]
                  ) -> Tuple[BenchmarkRun, int, Dict[str, int]]:
     """Run one cell in a pool worker; returns (run, pid, cache stats).
 
-    The stats snapshot is cumulative for this worker process so the parent
-    can fold pool-side compiles/disk hits into its own summary (keeping only
-    the latest snapshot per worker)."""
-    spec, energy_model, cache_dir = payload
+    The payload carries the batch's timing models, which the worker's
+    simulations clock.  The stats snapshot is cumulative for this worker
+    process so the parent can fold pool-side compiles/disk hits into its
+    own summary (keeping only the latest snapshot per worker)."""
+    spec, energy_model, cache_dir, clock_models = payload
     engine = _WORKER_ENGINES.get(cache_dir)
     if engine is None:
         engine = _WORKER_ENGINES[cache_dir] = ExperimentEngine(
             max_workers=1, cache_dir=cache_dir)
+    engine._clock_models = clock_models
     run = engine.run_cell(spec, energy_model)
     return run, os.getpid(), _worker_cache_stats()
 

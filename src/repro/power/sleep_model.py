@@ -10,7 +10,6 @@ interval.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List
 
@@ -59,20 +58,8 @@ class PeriodicSensingModel:
         return (p.energy_factor * p.active_energy_j
                 + p.sleep_power_w * (period_s - p.time_factor * p.active_time_s))
 
-    _PERIOD_UNSET = object()
-
-    def energy_saved(self, period_s: object = _PERIOD_UNSET) -> float:
-        """Equation 12: ``Es = E0(1-ke) + PS*TA*(kt-1)`` (period-independent).
-
-        The saving does not depend on the period ``T``; the historical
-        ``period_s`` argument (positional or keyword) is accepted and
-        ignored for one deprecation cycle.
-        """
-        if period_s is not self._PERIOD_UNSET:
-            warnings.warn(
-                "PeriodicSensingModel.energy_saved() no longer takes a period:"
-                " Equation 12 is period-independent",
-                DeprecationWarning, stacklevel=2)
+    def energy_saved(self) -> float:
+        """Equation 12: ``Es = E0(1-ke) + PS*TA*(kt-1)`` (period-independent)."""
         p = self.params
         return (p.active_energy_j * (1.0 - p.energy_factor)
                 + p.sleep_power_w * p.active_time_s * (p.time_factor - 1.0))

@@ -12,7 +12,8 @@ Two timing models are available (``repro.sim.pipeline``): the default
 ``pipelined`` model with fetch/execute overlap, branch-flush and load-use
 hazards, and an optional direct-mapped instruction cache in front of flash.
 ``flat`` runs are bitwise identical whether or not the pipelined code path
-exists; select a model per run with ``Simulator(..., timing_model=...)``.
+exists; select a model per run with ``Simulator(..., timing_model=...)``,
+or pass several models to clock one execution under each of them.
 """
 
 from repro.sim.memory import MemorySystem, MemoryError_

@@ -14,19 +14,23 @@ Two execution loops share identical observable behaviour:
 * the **decode-once loop** (default): blocks are lazily lowered to
   predecoded instruction records (:mod:`repro.sim.decode`) with pre-bound
   handlers, pre-resolved operands and precomputed cycle/energy metadata,
-  cached on the blocks themselves.  Under flat timing it also chains hot
+  cached on the blocks themselves.  Each instruction executes once and its
+  base cycles feed one *clock* per requested timing model
+  (:mod:`repro.sim.pipeline`): a clock adds that model's fetch and load-use
+  stalls and keeps its own totals, energy counts and block profile, so one
+  execution yields a result per model.  A flat-only run also chains hot
   blocks along their observed successor paths into trace-compiled
   superblocks (:mod:`repro.sim.superblock`) with batched accounting and
-  side-exit guards; ``superblocks=False`` turns that tracing off.  Under a
-  pipelined timing model (:mod:`repro.sim.pipeline`) the same loop adds a
-  fetch stage and the load-use hazard per instruction, and never traces;
+  side-exit guards; ``superblocks=False`` turns that tracing off, and runs
+  with a pipelined clock never trace;
 * the **interpreted reference loop** (``decode_once=False``): the original
   per-instruction dispatch under flat timing, kept as the bit-exact oracle
   the regression tests compare the fast paths against.
 
 Under flat timing every path produces bitwise-identical
-:class:`SimulationResult` values.  To make that hold under batching, energy
-is accounted uniformly as *event counts* per
+:class:`SimulationResult` values, and every clock of a multi-model run is
+bitwise the standalone run under its model.  To make that hold under
+batching, energy is accounted uniformly as *event counts* per
 ``(cycles, fetch_region, instr_class, data_region)`` key and
 reduced to a float in one deterministic pass at the end of the run
 (:func:`price`): identical counts give identical floats no matter which
@@ -38,7 +42,7 @@ without simulating it again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.conditions import Cond, cond_holds
 from repro.isa.instructions import Imm, InstrClass, MachineInstr, Opcode, RegList, Sym
@@ -140,17 +144,71 @@ def _signed(value: int) -> int:
     return value - (1 << 32) if value & 0x80000000 else value
 
 
+class _Clock:
+    """One timing model's accounting during a decode-once run.
+
+    The loop executes each instruction once; its base cycles (taken or not
+    taken, plus RAM contention) are what a flat clock charges.  A pipelined
+    clock adds the load-use stall, which every pipelined clock shares, and
+    its own fetch stall, from its own fetch state (``overlap``, icache
+    ``tags``).  Each clock keeps its own energy counts and per-block
+    cycles; its cycle total is the shared base plus its stalls.
+    """
+
+    __slots__ = ("timing", "pipelined", "lines", "miss_penalty", "tags",
+                 "hits", "misses", "line_memo", "line_ids", "overlap",
+                 "stalls", "block_start", "energy_counts", "profile")
+
+    def __init__(self, timing: TimingSpec, profile: BlockProfile):
+        self.timing = timing
+        self.pipelined = not timing.is_flat
+        self.lines = timing.icache_lines
+        self.miss_penalty = timing.miss_penalty
+        self.tags = [-1] * self.lines
+        self.hits = 0
+        self.misses = 0
+        #: Icache line of each instruction of a block, by block key.
+        self.line_memo: Dict[str, List[int]] = {}
+        self.line_ids: Optional[List[int]] = None
+        #: Fetch cycles the previous instruction's execute time can hide.
+        self.overlap = 0
+        #: Fetch-stall cycles charged so far.
+        self.stalls = 0
+        #: Cycle total when the current block was entered.
+        self.block_start = 0
+        self.energy_counts: Dict[Tuple, int] = {}
+        self.profile = profile
+
+    def total(self, base_cycles: int, hazard_cycles: int) -> int:
+        """This clock's cycle total given the shared base and hazard ones."""
+        if self.pipelined:
+            return base_cycles + hazard_cycles + self.stalls
+        return base_cycles
+
+
+def _cycles_by_section(energy_counts: Dict[Tuple, int]) -> Dict[str, int]:
+    """The cycles the energy events carry, by fetch region."""
+    sections = {"flash": 0, "ram": 0}
+    for (cycles, region, _klass, _data_region), count in energy_counts.items():
+        sections[region] += cycles * count
+    return sections
+
+
 class Simulator:
     """Executes a linked machine program and accounts cycles and energy.
 
     ``timing_model`` selects the cycle-accounting scheme: the default
     ``"flat"`` or the 3-stage fetch/decode/execute accounting of
     :mod:`repro.sim.pipeline` (``"pipelined"``, optionally with
-    ``+icache[:LxB]``).  ``decode_once=False`` picks the interpreted oracle,
-    which models flat timing only, so combining it with a pipelined model
-    raises :class:`ValueError`.  ``superblocks`` only matters under flat
-    timing: superblocks batch statically precomputed *flat* cycles, so
-    pipelined runs never form them.
+    ``+icache[:LxB]``).  A sequence of models clocks one execution under
+    each of them: :meth:`run` returns the first model's result and
+    :attr:`results` maps every model's canonical name to its result, each
+    bitwise what a run under that model alone gives.  ``decode_once=False``
+    picks the interpreted oracle, which models flat timing only, so
+    combining it with a pipelined model raises :class:`ValueError`.
+    ``superblocks`` only matters for a flat-only run: superblocks batch
+    statically precomputed *flat* cycles, so a run with a pipelined clock
+    never forms them.
     """
 
     def __init__(self, program: MachineProgram,
@@ -158,18 +216,28 @@ class Simulator:
                  max_instructions: int = 20_000_000,
                  decode_once: bool = True,
                  superblocks: bool = True,
-                 timing_model: Union[str, TimingSpec] = "flat"):
+                 timing_model: Union[str, TimingSpec,
+                                     Sequence[Union[str, TimingSpec]]] = "flat"):
         self.program = program
         self.energy_model = energy_model or EnergyModel()
         self.max_instructions = max_instructions
         self.decode_once = decode_once
         self.superblocks = superblocks
-        self.timing = TimingSpec.parse(timing_model)
-        if not decode_once and not self.timing.is_flat:
+        models = ([timing_model] if isinstance(timing_model, (str, TimingSpec))
+                  else list(timing_model))
+        if not models:
+            raise ValueError("timing_model names no timing model")
+        #: The distinct timing models clocked, in request order.
+        self.timings: Tuple[TimingSpec, ...] = tuple(dict.fromkeys(
+            TimingSpec.parse(model) for model in models))
+        self.timing = self.timings[0]
+        if not decode_once and self.timings != (TimingSpec(),):
             raise ValueError(
                 f"decode_once=False selects the interpreted oracle, which "
                 f"models flat timing only; got timing_model="
-                f"{self.timing.name!r}")
+                f"{', '.join(timing.name for timing in self.timings)!r}")
+        #: Canonical timing-model name → result of the latest :meth:`run`.
+        self.results: Dict[str, SimulationResult] = {}
 
         self.memory = MemorySystem(program.flash, program.ram)
         self._init_data()
@@ -253,14 +321,17 @@ class Simulator:
         them — integer counts are associative where float sums are not.
 
         Two invariants are asserted before the reduction.  Every execution
-        path bumps exactly one energy-event count and one section bucket per
-        retired instruction/cycle, so the event total must equal the
-        instruction total and the section buckets must sum to the cycle
-        total.  Batched superblock accounting, the pipelined stage and any
-        future path all feed the same counters — a silent drift between
-        them would quietly skew ``energy_j``, which is the paper's core
-        measurement, so the reconciliation is checked on every run (two
-        integer sums; the run itself dwarfs the cost).
+        path bumps exactly one energy-event count per retired instruction,
+        so the event total must equal the instruction total, and the
+        section buckets must sum to the cycle total.  The interpreted
+        oracle bumps a section bucket per cycle; the decode-once loop
+        derives the buckets from the cycles its energy events carry, so
+        there the check ties the events to the separately kept cycle total.
+        Batched superblock accounting, every clock and any future path all
+        feed the same counters — a silent drift between them would quietly
+        skew ``energy_j``, which is the paper's core measurement, so the
+        reconciliation is checked on every run (two integer sums; the run
+        itself dwarfs the cost).
         """
         event_total = sum(energy_counts.values())
         if event_total != total_instructions:
@@ -273,11 +344,6 @@ class Simulator:
             raise AssertionError(
                 f"per-section cycle buckets do not reconcile with the cycle "
                 f"total: {section_total} != {total_cycles}")
-        hub = get_telemetry()
-        if hub.enabled:
-            hub.add("sim.runs")
-            hub.add("sim.instructions", total_instructions)
-            hub.add("sim.cycles", total_cycles)
         energy_j, time_s = price(energy_counts, total_cycles, self.energy_model)
         return SimulationResult(
             return_value=self.registers[0] & _MASK,
@@ -306,54 +372,73 @@ class Simulator:
         self.registers[LR.index] = EXIT_TOKEN
 
         if self.decode_once:
-            return self._run_decode_once(entry)
-        return self._run_interpreted(entry)
+            results = self._run_decode_once(entry)
+        else:
+            results = [self._run_interpreted(entry)]
+        hub = get_telemetry()
+        if hub.enabled:
+            hub.add("sim.runs")
+            hub.add("sim.clocks", len(results))
+            hub.add("sim.instructions", results[0].instructions)
+            hub.add("sim.cycles", sum(result.cycles for result in results))
+        self.results = {timing.name: result
+                        for timing, result in zip(self.timings, results)}
+        return results[0]
 
     # ------------------------------------------------------------------ #
     # The decode-once loop behind every fast path
     # ------------------------------------------------------------------ #
-    def _run_decode_once(self, entry: str) -> SimulationResult:
-        """Execute predecoded blocks under any timing model.
+    def _run_decode_once(self, entry: str) -> List[SimulationResult]:
+        """Execute predecoded blocks once, clocked under every timing model.
 
         Each outer iteration applies one control transfer: it picks the next
         block and the instruction to resume at, and on a block *entry* runs
         the superblock prologue.  The inner loop then executes the block's
-        records until a taken transfer or the end of the block.
+        records until a taken transfer or the end of the block.  Returns one
+        result per clock, in :attr:`timings` order.
 
-        * **Tracing** (flat timing, ``superblocks=True``): at a block entry an
-          installed superblock runs directly; otherwise the block's hotness
-          counter is bumped and, past :data:`HOT_THRESHOLD`, the path
+        * **Tracing** (a flat-only run, ``superblocks=True``): at a block
+          entry an installed superblock runs directly; otherwise the block's
+          hotness counter is bumped and, past :data:`HOT_THRESHOLD`, the path
           execution takes next is recorded and compiled
           (:func:`build_superblock`).  A superblock hands its side exit back
           as the next transfer.
-        * **Tracing off** (``superblocks=False``, and every pipelined run):
-          no superblock is formed or dispatched and no hotness is counted.
-          Superblocks batch flat cycles, so pipelined runs never trace.
-        * **Pipelined stage** (``timing_model="pipelined…"``): before each
-          instruction the fetch stage charges the flash wait states the
+        * **Tracing off** (``superblocks=False``, and every run with a
+          pipelined clock): no superblock is formed or dispatched and no
+          hotness is counted.  Superblocks batch flat cycles, so pipelined
+          runs never trace.
+        * **Clocks**: each instruction runs its handler once and its base
+          cycles (taken or not taken, plus RAM contention) go to every
+          clock.  A pipelined clock first charges the flash wait states the
           previous instruction's execute cycles do not hide, or looks the
-          fetch up in the icache, and a read of the previous load's
-          destination costs the load-use stall.  A taken transfer flushes
-          both; a fall-through keeps them.  Under flat timing the stage
-          costs one boolean test per instruction and its stalls stay zero.
+          fetch up in its icache, and the load-use stall when the
+          instruction reads the previous load's destination.  A taken
+          transfer flushes both; a fall-through keeps them.  A flat clock
+          adds nothing.
         """
         program = self.program
         functions = program.functions
         max_instructions = self.max_instructions
-        timing = self.timing
-        pipelined = not timing.is_flat
-        tracing = self.superblocks and not pipelined
+        profile_counts: Dict[str, int] = {}
+        profile_counts_get = profile_counts.get
+        clocks = [_Clock(timing, BlockProfile(counts=profile_counts))
+                  for timing in self.timings]
+        # A flat clock charges the base cycles, so its energy key is the
+        # base key; the pipelined ("timed") clocks add stalls.
+        flat_counts = next((clock.energy_counts for clock in clocks
+                            if not clock.pipelined), None)
+        timed = [clock for clock in clocks if clock.pipelined]
+        icache_clocks = [clock for clock in timed if clock.lines]
+        tracing = self.superblocks and not timed
         if tracing:
             superblocks, hot_counts = program.superblock_state()
         else:
             superblocks, hot_counts = {}, {}
 
-        profile = BlockProfile()
-        total_cycles = 0
         total_instructions = 0
-        energy_counts: Dict[Tuple, int] = {}
-        counts_get = energy_counts.get
-        cycles_by_section = {"flash": 0, "ram": 0}
+        #: Cycles every clock pays, and load-use stalls every timed one pays.
+        base_cycles = 0
+        hazard_cycles = 0
 
         # Superblock telemetry, kept in locals and published once at finish:
         # how each dispatch ended, by the kind of transfer it handed back.
@@ -374,28 +459,15 @@ class Simulator:
             trace = None
             trace_set = None
 
-        # Pipeline state; every stall stays zero under flat timing.
-        lines = timing.icache_lines
-        miss_penalty = timing.miss_penalty
-        tags = [-1] * lines
-        icache_hits = 0
-        icache_misses = 0
-        line_memo: Dict[str, List[int]] = {}
-        line_ids: Optional[List[int]] = None
-        #: Fetch cycles the previous instruction's execute time can hide.
-        overlap = 0
         #: Destination register of an immediately preceding load, else -1.
         load_dst = -1
-        #: This instruction's fetch stall, and that plus any load-use stall.
-        stall = 0
-        exec_stall = 0
+        hazard = False
         pending_cond: Optional[Cond] = None
 
         transfer = ("block", (entry, functions[entry].entry_block.name))
         while True:
             # ---- apply the control transfer ------------------------------ #
             kind, target = transfer
-            block_cycle_start = total_cycles
             if kind == "block":
                 function_name, block_name = target
                 block = functions[function_name].blocks[block_name]
@@ -431,11 +503,17 @@ class Simulator:
                         for exit_kind in ("block", "call", "return"):
                             hub.add(f"sim.superblock.exits.{exit_kind}",
                                     sb_exits[exit_kind])
-                    if lines:
-                        hub.add("sim.icache.hits", icache_hits)
-                        hub.add("sim.icache.misses", icache_misses)
-                return self._finish(total_cycles, total_instructions,
-                                    energy_counts, profile, cycles_by_section)
+                    for clock in icache_clocks:
+                        hub.add("sim.icache.hits", clock.hits)
+                        hub.add("sim.icache.misses", clock.misses)
+                return [self._finish(
+                    clock.total(base_cycles, hazard_cycles),
+                    total_instructions, clock.energy_counts,
+                    # Block counts are shared; each later result gets a copy.
+                    clock.profile if position == 0 else replace(
+                        clock.profile, counts=dict(profile_counts)),
+                    _cycles_by_section(clock.energy_counts))
+                    for position, clock in enumerate(clocks)]
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown transfer kind {kind}")
 
@@ -452,25 +530,29 @@ class Simulator:
                         # Chain the recorded prefix up to (not into) the
                         # existing superblock; execution continues inside it.
                         compile_trace(False)
-                    transfer, total_cycles, total_instructions = \
+                    (clock,) = clocks
+                    transfer, base_cycles, total_instructions = \
                         execute_superblock(self, sb, superblocks,
-                                           total_cycles, total_instructions,
-                                           cycles_by_section, energy_counts,
-                                           profile, max_instructions)
+                                           base_cycles, total_instructions,
+                                           flat_counts, clock.profile,
+                                           max_instructions)
+                    clock.block_start = base_cycles
                     sb_exits[transfer[0]] += 1
                     continue
 
             decoded = predecode(program, block)
             records = decoded.records
             end = len(records)
-            fetch_region = region = decoded.fetch_region
+            fetch_region = decoded.fetch_region
             fetch_is_ram = decoded.fetch_is_ram
             current_block_key = program.block_key(block)
-            if lines and not fetch_is_ram:
-                line_ids = line_memo.get(current_block_key)
-                if line_ids is None:
-                    line_ids = timing.icache_line_ids(block)
-                    line_memo[current_block_key] = line_ids
+            if not fetch_is_ram:
+                for clock in icache_clocks:
+                    line_ids = clock.line_memo.get(current_block_key)
+                    if line_ids is None:
+                        line_ids = clock.timing.icache_line_ids(block)
+                        clock.line_memo[current_block_key] = line_ids
+                    clock.line_ids = line_ids
 
             if entering:
                 # ---- block-entry trace state ----------------------------- #
@@ -498,46 +580,13 @@ class Simulator:
                 if index >= end:
                     # End of block without a taken transfer: fall through.
                     # The pipeline keeps streaming across the boundary.
-                    profile.record(current_block_key,
-                                   total_cycles - block_cycle_start)
+                    transfer = None
                     if block.fallthrough is None:
                         raise SimulationError(
                             f"fell off the end of {function_name}/{block.name}")
-                    transfer = ("block", (function_name, block.fallthrough))
                     break
 
                 record = records[index]
-
-                if pipelined:
-                    # --- fetch stage ------------------------------------- #
-                    if fetch_is_ram:
-                        stall = 0
-                    elif lines:
-                        line = line_ids[index]
-                        slot = line % lines
-                        if tags[slot] == line:
-                            # Hit: single-cycle fetch from cache SRAM,
-                            # charged at RAM fetch power.
-                            region = "ram"
-                            stall = 0
-                            icache_hits += 1
-                        else:
-                            tags[slot] = line
-                            region = "flash"
-                            icache_misses += 1
-                            stall = miss_penalty - overlap
-                            if stall < 0:
-                                stall = 0
-                    else:
-                        stall = FLASH_WAIT_STATES - overlap
-                        if stall < 0:
-                            stall = 0
-                    # Load-use hazard: reading the previous load's
-                    # destination, paid only if the instruction executes.
-                    if load_dst >= 0 and load_dst in record.reads:
-                        exec_stall = stall + LOAD_USE_STALL
-                    else:
-                        exec_stall = stall
 
                 # --- predication (it blocks) ----------------------------- #
                 if record.is_it or record.predicated and not cond_holds(
@@ -547,48 +596,87 @@ class Simulator:
                     # whose condition fails: one ALU cycle, no effect.
                     if record.is_it:
                         pending_cond = record.cond
-                    cycles = 1 + stall
-                    total_cycles += cycles
-                    total_instructions += 1
-                    cycles_by_section[region] += cycles
-                    key = (cycles, region, _ALU_VALUE, None)
-                    energy_counts[key] = counts_get(key, 0) + 1
-                    overlap = cycles - 1
+                    base = 1
+                    klass = _ALU_VALUE
+                    data_region = transfer = None
+                    hazard = False
                     load_dst = -1
-                    index += 1
-                    continue
-
-                # --- execute --------------------------------------------- #
-                data_region, transfer = record.run(self)
-
-                if record.conditional and transfer is None:
-                    cycles = record.cycles_not_taken + exec_stall
                 else:
-                    cycles = record.cycles_taken + exec_stall
-
-                # RAM bus contention: executing from RAM while touching RAM
-                # data.
-                if fetch_is_ram and data_region == "ram" and record.contention:
-                    cycles += RAM_CONTENTION_STALL
-
-                total_cycles += cycles
+                    # --- execute ----------------------------------------- #
+                    data_region, transfer = record.run(self)
+                    if record.conditional and transfer is None:
+                        base = record.cycles_not_taken
+                    else:
+                        base = record.cycles_taken
+                    # RAM bus contention: executing from RAM while touching
+                    # RAM data.
+                    if (fetch_is_ram and data_region == "ram"
+                            and record.contention):
+                        base += RAM_CONTENTION_STALL
+                    klass = record.klass_value
+                    if timed:
+                        # Load-use hazard: reading the previous load's
+                        # destination.  A taken transfer flushes it.
+                        hazard = load_dst >= 0 and load_dst in record.reads
+                        load_dst = (record.load_dst if transfer is None
+                                    else -1)
                 total_instructions += 1
-                cycles_by_section[region] += cycles
-                key = (cycles, region, record.klass_value, data_region)
-                energy_counts[key] = counts_get(key, 0) + 1
+
+                # --- clocks ---------------------------------------------- #
+                base_cycles += base
+                if flat_counts is not None:
+                    key = (base, fetch_region, klass, data_region)
+                    flat_counts[key] = flat_counts.get(key, 0) + 1
+                if timed:
+                    if hazard:
+                        base += LOAD_USE_STALL
+                        hazard_cycles += LOAD_USE_STALL
+                    for clock in timed:
+                        cycles = base
+                        region = fetch_region
+                        # Fetch stage: RAM fetches are single-cycle.
+                        if not fetch_is_ram:
+                            if clock.lines:
+                                line = clock.line_ids[index]
+                                tags = clock.tags
+                                slot = line % clock.lines
+                                if tags[slot] == line:
+                                    # Hit: single-cycle fetch from cache
+                                    # SRAM, charged at RAM fetch power.
+                                    region = "ram"
+                                    clock.hits += 1
+                                    stall = 0
+                                else:
+                                    tags[slot] = line
+                                    clock.misses += 1
+                                    stall = clock.miss_penalty - clock.overlap
+                            else:
+                                stall = FLASH_WAIT_STATES - clock.overlap
+                            if stall > 0:
+                                cycles += stall
+                                clock.stalls += stall
+                        # A taken transfer flushes the pipeline.
+                        clock.overlap = cycles - 1 if transfer is None else 0
+                        counts = clock.energy_counts
+                        key = (cycles, region, klass, data_region)
+                        counts[key] = counts.get(key, 0) + 1
 
                 if transfer is None:
-                    overlap = cycles - 1
-                    load_dst = record.load_dst
                     index += 1
                     continue
-
-                # A taken transfer flushes the pipeline.
-                overlap = 0
-                load_dst = -1
-                profile.record(current_block_key,
-                               total_cycles - block_cycle_start)
                 break
+
+            # ---- block exit: one profile entry per clock ------------------ #
+            profile_counts[current_block_key] = \
+                profile_counts_get(current_block_key, 0) + 1
+            for clock in clocks:
+                block_cycles = clock.profile.cycles
+                total = clock.total(base_cycles, hazard_cycles)
+                block_cycles[current_block_key] = block_cycles.get(
+                    current_block_key, 0) + total - clock.block_start
+                clock.block_start = total
+            if transfer is None:
+                transfer = ("block", (function_name, block.fallthrough))
 
     # ------------------------------------------------------------------ #
     # Interpreted reference path (the seed implementation, kept as oracle)

@@ -29,13 +29,19 @@ with classic 3-stage fetch/decode/execute accounting:
   ``FLASH_WAIT_STATES`` per word — before the stall/overlap rule above
   applies.
 
-The simulator's decode-once loop (``Simulator._run_decode_once`` in
-:mod:`repro.sim.cpu`) runs these stages when its timing model is not flat.
-Everything stays integer event counts reduced by
+None of this changes what a program computes, only how its cycles are
+counted.  So the simulator's decode-once loop (``Simulator._run_decode_once``
+in :mod:`repro.sim.cpu`) executes each instruction once and runs these
+stages per *clock*: ``Simulator(program, timing_model=[...])`` keeps one
+clock per model (its own overlap window, icache tags, energy counts and
+block profile) on top of the shared base cycles and load-use stalls, and
+each clock's result is bitwise a run under that model alone.  Everything
+stays integer event counts reduced by
 :meth:`~repro.sim.cpu.Simulator._finish`, so pipelined runs are exactly as
-bitwise-deterministic as flat ones.  Pipelined runs never form or enter
-superblocks, whose batched static cycle counts are precomputed under flat
-accounting, and the interpreted oracle (``decode_once=False``) rejects them.
+bitwise-deterministic as flat ones.  Runs with a pipelined clock never form
+or enter superblocks, whose batched static cycle counts are precomputed
+under flat accounting, and the interpreted oracle (``decode_once=False``)
+rejects them.
 
 :class:`TimingSpec` is the parsed form of a ``timing_model`` string.  It
 also maps a block's instructions to icache lines, and provides the *static*

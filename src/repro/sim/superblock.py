@@ -34,7 +34,7 @@ the successor path that was actually observed:
   outcome is a **side exit** that hands the ordinary transfer back to the
   simulator's decode-once loop;
 * fetch-region and contention flags are hoisted: each constituent block's
-  section is static, so its ``cycles_by_section`` bucket and the
+  section is static, so the fetch region of its energy keys and the
   fetch-is-RAM half of the contention predicate are baked into the steps.
 
 Bit-exactness: cycle counts, instruction counts, per-block profile deltas and
@@ -353,17 +353,16 @@ def build_superblock(program: MachineProgram,
 
 def execute_superblock(sim, sb: Superblock, superblocks: Dict[Tuple[str, str], Superblock],
                        total_cycles: int, total_instructions: int,
-                       cycles_by_section: Dict[str, int],
                        energy_counts: Dict[tuple, int], profile,
                        max_instructions: int
                        ) -> Tuple[Tuple[str, object], int, int]:
     """Run *sb* until a side exit; returns the pending transfer + totals.
 
-    The caller owns all accounting state: ``cycles_by_section``,
-    ``energy_counts`` and ``profile`` are mutated in place, the integer
-    totals travel through the return value.  A side exit whose ``"block"``
-    target has its own superblock in *superblocks* chains straight into it
-    (ping-ponging hot paths never touch the outer dispatch loop).  The
+    The caller owns all accounting state: ``energy_counts`` and
+    ``profile`` are mutated in place, the integer totals travel through the
+    return value.  A side exit whose ``"block"`` target has its own
+    superblock in *superblocks* chains straight into it (ping-ponging hot
+    paths never touch the outer dispatch loop).  The
     returned ``(kind, payload)`` transfer is exactly the one the decode-once
     loop would have seen (with end-of-block fallthrough normalised to a
     ``"block"`` transfer, which is dispatch-equivalent), and the profile
@@ -386,7 +385,6 @@ def execute_superblock(sim, sb: Superblock, superblocks: Dict[Tuple[str, str], S
         block_cycles, count, transfer = node.run_node(sim, energy_counts, get)
         total_instructions += count
         total_cycles += block_cycles
-        cycles_by_section[node.fetch_region] += block_cycles
         block_key = node.key
         profile_counts[block_key] = counts_get(block_key, 0) + 1
         profile_cycles[block_key] = cycles_get(block_key, 0) + block_cycles

@@ -9,7 +9,8 @@ when telemetry is off.
 With a sink configured the hub appends JSON-lines events to
 ``<sink>/<role>-<pid>.events.jsonl``:
 
-* one ``meta`` line when the file opens (pid, role, wall/monotonic clocks);
+* one ``meta`` line when the file opens (pid, role, wall/monotonic clocks
+  and the :func:`environment`: cores, BLAS, thread variables, versions);
 * one ``span`` line per completed span — name, per-process ``id`` and
   ``parent`` id, monotonic ``start``/``end``/``dur``, nesting ``depth``,
   and optional ``attrs`` (the engine stamps cell knobs here);
@@ -35,6 +36,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import platform
 import threading
 import time
 from contextlib import contextmanager
@@ -44,6 +46,39 @@ from typing import Dict, Iterator, Optional
 #: child processes) propagate to spawned/forked workers.
 TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
 TELEMETRY_ROLE_ENV = "REPRO_TELEMETRY_ROLE"
+
+#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+                    "GOTO_NUM_THREADS")
+
+
+def environment() -> Dict:
+    """What a trace's timings depend on besides the code, for ``meta``.
+
+    The CPU count and the CPUs this process may use, numpy's BLAS library
+    and version, each thread variable of :data:`THREAD_VARIABLES` as found
+    (``None`` when unset), and the Python and numpy versions.
+    """
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (KeyError, TypeError):  # numpy < 1.26 only prints its config
+        blas = {"name": None, "version": None}
+    return {
+        "cpus": os.cpu_count(),
+        "cpus_usable": (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count()),
+        "blas": blas,
+        "thread_variables": {name: os.environ.get(name)
+                             for name in THREAD_VARIABLES},
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 class Telemetry:
@@ -134,6 +169,7 @@ class Telemetry:
             self._file.write(_encode({
                 "event": "meta", "pid": pid, "role": self.role,
                 "wall_time": time.time(), "monotonic": time.monotonic(),
+                "env": environment(),
             }))
         return self._file
 

@@ -91,14 +91,6 @@ def test_sweep_periods_rows_satisfy_both_active_regions():
         assert row["period_s"] >= p.time_factor * p.active_time_s - 1e-12
 
 
-def test_energy_saved_deprecated_period_argument_warns():
-    model = make_model()
-    expected = model.energy_saved()
-    with pytest.warns(DeprecationWarning):
-        legacy = model.energy_saved(5.0)
-    assert legacy == expected
-
-
 # --------------------------------------------------------------------------- #
 # Figure 1 microbenchmarks
 # --------------------------------------------------------------------------- #

@@ -343,9 +343,15 @@ def mini_c_programs(draw):
 _INSTRUCTION_LIMIT = 500_000
 
 
+#: One clock per timing model, two of them with an icache; the order puts
+#: a cached clock first and the flat one after it.
+_CLOCKS = ("pipelined+icache:32x8", "flat", "pipelined", "pipelined+icache")
+
+
 def _assert_fast_paths_match_oracle(program):
     """Every flat fast path is bitwise the interpreted run; pipelined and
-    icache runs return its value.  Returns the oracle's result."""
+    icache runs return its value; a run clocked under every model gives
+    each model's single-model result.  Returns the oracle's result."""
     def run(**options):
         return Simulator(program, max_instructions=_INSTRUCTION_LIMIT,
                          **options).run()
@@ -354,8 +360,13 @@ def _assert_fast_paths_match_oracle(program):
     assert run(superblocks=False) == oracle
     assert run() == oracle   # cold: forms superblocks
     assert run() == oracle   # warm: dispatches them
-    for model in ("pipelined", "pipelined+icache"):
-        assert run(timing_model=model).return_value == oracle.return_value
+    singles = [run(timing_model=model) for model in _CLOCKS]
+    for single in singles:
+        assert single.return_value == oracle.return_value
+    clocked = Simulator(program, max_instructions=_INSTRUCTION_LIMIT,
+                        timing_model=_CLOCKS)
+    clocked.run()
+    assert list(clocked.results.values()) == singles
     return oracle
 
 

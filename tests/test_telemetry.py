@@ -9,14 +9,16 @@ Prometheus-renderable snapshot without joining the fleet.
 """
 
 import json
+import platform
 import time
 
+import numpy
 import pytest
 
 from repro.distrib import SweepCoordinator, connect, worker_process_entry
 from repro.engine import ExperimentEngine, ProgramCache, ResultStore
 from repro.explore import SweepSpec, execute_sweep
-from repro.sim import Simulator
+from repro.sim import TIMING_MODELS, Simulator
 from repro.sim.profiler import BlockProfile
 from repro.telemetry import (
     Ewma,
@@ -30,6 +32,7 @@ from repro.telemetry import (
     reset_telemetry,
     trace_stats,
 )
+from repro.telemetry.hub import THREAD_VARIABLES
 from repro.telemetry.metrics import percentile
 from test_distrib import SPAWN, TEST_SWEEP, wait_until
 
@@ -307,6 +310,53 @@ def test_local_sweep_is_byte_identical_with_telemetry(tmp_path, clean_hub):
     assert runs == programs
     assert runs + stats["counters"].get("sim.memo_hits", 0) == \
         2 * SMALL_SWEEP.size
+
+
+def test_mixed_timing_sweep_clocks_each_program_once(tmp_path, clean_hub):
+    # crc32 places the same RAM set under every timing model, so every
+    # clocked result is used by some cell.
+    sweep = SweepSpec(benchmarks=("crc32",), x_limits=(1.1, 1.5),
+                      timing_models=TIMING_MODELS)
+    configure_telemetry(tmp_path / "trace", role="main")
+    store = ResultStore(tmp_path / "store")
+    execute_sweep(sweep, store=store, engine=fresh_engine(), max_workers=1)
+    reset_telemetry(clear_env=True)
+
+    records = store.load_keyed("sweep").values()
+    programs = ({(record["benchmark"], record["opt_level"], None)
+                 for record in records}
+                | {(record["benchmark"], record["opt_level"],
+                    tuple(record["ram_blocks"])) for record in records})
+    counters = trace_stats(tmp_path / "trace")["counters"]
+    # One execution per distinct program, clocked under all three models;
+    # each cell's baseline and placed requests take a fresh clock or reuse
+    # a result an earlier request took.
+    assert counters["sim.runs"] == len(programs)
+    assert counters["sim.clocks"] == len(TIMING_MODELS) * len(programs)
+    assert counters["sim.clocks"] + counters.get("sim.memo_hits", 0) == \
+        2 * sweep.size
+
+
+def test_trace_records_the_environment_and_cell_knobs(tmp_path, clean_hub):
+    sweep = SweepSpec(benchmarks=("crc32",), x_limits=(1.5,),
+                      r_spares=(None, 256), flash_ram_ratios=(None, 2.5))
+    configure_telemetry(tmp_path, role="main")
+    execute_sweep(sweep, engine=fresh_engine(), max_workers=1)
+    reset_telemetry(clear_env=True)
+
+    events, _ = load_events(tmp_path)
+    (meta,) = [event for event in events if event.get("event") == "meta"]
+    env = meta["env"]
+    assert env["cpus"] >= env["cpus_usable"] >= 1
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env["thread_variables"]) == set(THREAD_VARIABLES)
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == numpy.__version__
+    cells = [event["attrs"] for event in events
+             if event.get("event") == "span" and event["name"] == "cell"]
+    assert sorted((attrs["r_spare"] or 0, attrs["flash_ram_ratio"])
+                  for attrs in cells) == [
+        (0, 1.685185), (0, 2.5), (256, 1.685185), (256, 2.5)]
 
 
 def test_distributed_telemetry_sigkill_stays_bitwise(tmp_path, clean_hub):
