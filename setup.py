@@ -27,7 +27,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
-    # scipy is the outside LP oracle of tests/test_placement_and_transform.py.
+    # scipy's HiGHS is the outside LP/ILP oracle of tests/test_lp.py,
+    # tests/test_placement_and_transform.py and benchmarks/bench_ilp.py.
     extras_require={"test": ["pytest", "hypothesis", "scipy"]},
     entry_points={
         "console_scripts": [

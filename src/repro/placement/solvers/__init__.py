@@ -3,7 +3,6 @@
 from repro.placement.solvers.lp import (
     solve_lp,
     solve_bounded_lp,
-    solve_lp_dense,
     LPResult,
     LPStatus,
 )
@@ -17,7 +16,6 @@ from repro.placement.solvers.exhaustive import (
 __all__ = [
     "solve_lp",
     "solve_bounded_lp",
-    "solve_lp_dense",
     "LPResult",
     "LPStatus",
     "solve_ilp",

@@ -6,17 +6,15 @@ and ``z`` variables are forced to integral values by their constraints and
 objective signs.  Best-first search with LP lower bounds keeps the tree small
 (the relaxation of this knapsack-like problem is mostly integral already).
 
-Two LP back ends drive the node relaxations:
-
-* ``warm_start=True`` (default) — branching *tightens a bound* (``r_b`` is
-  fixed by setting ``l = u``), which leaves the constraint matrix and
-  objective untouched.  Reduced costs depend only on those, so the parent's
-  optimal basis stays **dual-feasible** in both children and the bounded
-  revised simplex re-optimises with the dual method in a handful of pivots
-  (see DESIGN.md, "Warm-started placement ILP").
-* ``warm_start=False`` — every node is solved from scratch by the dense
-  two-phase tableau with bounds materialised as rows.  This is the slow
-  oracle used by the equivalence tests and benchmarks.
+Node relaxations are solved by the bounded revised simplex of
+:mod:`repro.placement.solvers.lp`.  Branching *tightens a bound* (``r_b`` is
+fixed by setting ``l = u``), which leaves the constraint matrix and
+objective untouched.  Reduced costs depend only on those, so the parent's
+optimal basis stays **dual-feasible** in both children and the dual simplex
+re-optimises each child in a handful of pivots (see DESIGN.md,
+"Warm-started placement ILP").  The root, and the children of a parent
+whose basis is singular, are solved cold from the all-slack basis.  The
+tests check the search against HiGHS (``scipy.optimize.milp``).
 
 Children inherit ``max(child LP, parent bound)``: fixing one more variable
 can only shrink the feasible region, so a child's true bound is at least the
@@ -43,7 +41,6 @@ from repro.placement.solvers.lp import (
     LPStatus,
     ScaledSystem,
     solve_bounded_lp,
-    solve_lp_dense,
 )
 
 _INTEGRALITY_TOL = 1e-6
@@ -62,8 +59,8 @@ class ILPResult:
     lp_pivots: int = 0
     #: LP relaxations re-solved with the dual simplex from a parent basis.
     warm_solves: int = 0
-    #: LP relaxations solved from scratch (the root, every node when
-    #: ``warm_start=False``, and the children of a singular parent basis).
+    #: LP relaxations solved from scratch (the root and the children of a
+    #: singular parent basis).
     cold_solves: int = 0
     #: Basis inversions: one per branched node (shared by its children)
     #: plus the LP engine's periodic refactorisations.
@@ -86,21 +83,16 @@ def _fractional_branch_var(problem: ILPProblem, values: np.ndarray) -> Optional[
 
 
 class _NodeSolver:
-    """Solves node relaxations, warm-starting from the parent when allowed.
+    """Solves node relaxations, warm-starting each child from its parent.
 
     The scaled constraint system is built once per ILP, and a branched
     node's basis is inverted once (:meth:`factorize`) for both children.
     """
 
-    def __init__(self, problem: ILPProblem, warm_start: bool):
+    def __init__(self, problem: ILPProblem):
         self.problem = problem
-        self.warm_start = warm_start
-        self.lower, self.upper = problem.bounds()
-        if warm_start:
-            self.system = ScaledSystem(problem.objective, problem.a_ub,
-                                       problem.b_ub)
-        else:
-            self.dense_a, self.dense_b = problem.dense_rows()
+        self.system = ScaledSystem(problem.objective, problem.a_ub,
+                                   problem.b_ub)
         self.lp_pivots = 0
         self.warm_solves = 0
         self.cold_solves = 0
@@ -109,10 +101,10 @@ class _NodeSolver:
     def factorize(self, parent: LPResult) -> Optional[np.ndarray]:
         """The inverse of *parent*'s basis, shared by all its children.
 
-        ``None`` means the children solve cold: warm starts are off, the
-        parent has no basis, or its basis is singular.
+        ``None`` means the children solve cold: the parent has no basis, or
+        its basis is singular.
         """
-        if not self.warm_start or parent.basis is None:
+        if parent.basis is None:
             return None
         self.factorizations += 1
         try:
@@ -125,14 +117,8 @@ class _NodeSolver:
               binv: Optional[np.ndarray] = None) -> LPResult:
         """Solve the node that fixes *fixed*; warm from *parent* when *binv*
         (from :meth:`factorize`) is given, cold otherwise."""
-        if not self.warm_start:
-            self.cold_solves += 1
-            result = solve_lp_dense(self.problem.objective, self.dense_a,
-                                    self.dense_b, fixed=fixed)
-            self.lp_pivots += result.iterations
-            return result
-        lower = self.lower.copy()
-        upper = self.upper.copy()
+        lower = self.problem.lower.copy()
+        upper = self.problem.upper.copy()
         for var, value in fixed.items():
             lower[var] = value
             upper[var] = value
@@ -161,11 +147,10 @@ class _NodeSolver:
 
 
 def solve_ilp(problem: ILPProblem, max_nodes: int = 400,
-              gap_tolerance: float = 1e-9,
-              warm_start: bool = True) -> ILPResult:
+              gap_tolerance: float = 1e-9) -> ILPResult:
     """Solve the placement ILP with best-first branch and bound."""
     counter = itertools.count()
-    solver = _NodeSolver(problem, warm_start)
+    solver = _NodeSolver(problem)
     root = solver.solve({})
     result = ILPResult(status="infeasible")
     if root.status is not LPStatus.OPTIMAL:

@@ -1,23 +1,18 @@
-"""LP engines for the placement relaxations.
+"""LP engine for the placement relaxations.
 
-Two engines share the :class:`LPResult` interface:
-
-* :func:`solve_bounded_lp` — a bounded-variable **revised simplex** (primal
-  and dual) that handles ``l <= x <= u`` natively, exposes its final basis,
-  and can be warm-started from a caller-supplied basis.  This is the
-  branch-and-bound hot path: fixing a binary variable is a *bound change*,
-  which leaves the parent's optimal basis dual-feasible, so the dual simplex
-  re-optimises a child node in a handful of pivots instead of a full
-  two-phase solve.
-* :func:`solve_lp_dense` — the original dense two-phase tableau
-  (``min c.x  s.t.  A x <= b, x >= 0``), kept as the slow-but-simple oracle
-  for equivalence tests.  Bounds must be materialised as explicit rows
-  (see :meth:`repro.placement.ilp.ILPProblem.dense_rows`).
+:func:`solve_bounded_lp` is a bounded-variable **revised simplex** (primal
+and dual) that handles ``l <= x <= u`` natively, exposes its final basis,
+and can be warm-started from a caller-supplied basis.  This is the
+branch-and-bound hot path: fixing a binary variable is a *bound change*,
+which leaves the parent's optimal basis dual-feasible, so the dual simplex
+re-optimises a child node in a handful of pivots instead of a full cold
+solve.
 
 :func:`solve_lp` is the public convenience entry point: it accepts optional
-bounds and a ``fixed`` map (branching by variable fixing) and dispatches to
-the bounded engine.  GLPK (used by the paper) is replaced by these
-self-contained implementations.
+bounds and a ``fixed`` map (branching by variable fixing) and calls the
+bounded engine.  GLPK (used by the paper) is replaced by this
+self-contained implementation; the tests check it against HiGHS
+(``scipy.optimize.linprog`` and ``milp``) as an independent oracle.
 """
 
 from __future__ import annotations
@@ -49,8 +44,8 @@ class LPResult:
     objective: float = float("inf")
     values: Optional[np.ndarray] = None
     #: Basic column per row over the full (structural + slack) column space.
-    #: This is the warm-start token for :func:`solve_bounded_lp`; the dense
-    #: oracle leaves it ``None``.
+    #: This is the warm-start token for :func:`solve_bounded_lp`; results
+    #: that are not optimal leave it ``None``.
     basis: Optional[np.ndarray] = None
     #: Nonbasic-at-upper-bound flags over the full column space (the other
     #: half of the warm-start token).
@@ -445,218 +440,3 @@ def solve_lp(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
         lower[index] = value
         upper[index] = value
     return solve_bounded_lp(c, a_ub, b_ub, lower=lower, upper=upper)
-
-
-# =========================================================================== #
-# Dense two-phase tableau (oracle)
-# =========================================================================== #
-def _simplex(tableau: np.ndarray, basis: np.ndarray, num_cols: int) -> tuple:
-    """Run the primal simplex on an in-place tableau; last row is -objective.
-
-    Uses Dantzig pricing until a streak of degenerate pivots, then falls back
-    to Bland's least-index rule (entering column and, among tied ratios,
-    leaving row with the smallest basic index), which cannot cycle.  Returns
-    ``(status, pivots)``.
-    """
-    rows = tableau.shape[0] - 1
-    streak, bland = 0, False
-    for iteration in range(_MAX_ITERATIONS):
-        objective_row = tableau[-1, :num_cols]
-        if bland:
-            negative = np.where(objective_row < -_EPS)[0]
-            if negative.size == 0:
-                return LPStatus.OPTIMAL, iteration
-            pivot_col = int(negative[0])
-        else:
-            pivot_col = int(np.argmin(objective_row))
-            if objective_row[pivot_col] >= -_EPS:
-                return LPStatus.OPTIMAL, iteration
-        column = tableau[:rows, pivot_col]
-        positive = column > _EPS
-        if not np.any(positive):
-            return LPStatus.UNBOUNDED, iteration
-        ratios = np.full(rows, np.inf)
-        ratios[positive] = tableau[:rows, -1][positive] / column[positive]
-        if bland:
-            best = float(ratios.min())
-            tied = np.where(ratios <= best + _EPS)[0]
-            pivot_row = int(min(tied, key=lambda i: basis[i]))
-        else:
-            pivot_row = int(np.argmin(ratios))
-        degenerate = ratios[pivot_row] <= _EPS
-        _pivot(tableau, basis, pivot_row, pivot_col)
-        if degenerate:
-            streak += 1
-            if streak >= _BLAND_STREAK:
-                bland = True
-        else:
-            streak, bland = 0, False
-    return LPStatus.ITERATION_LIMIT, _MAX_ITERATIONS
-
-
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row, :] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row, :])
-    basis[row] = col
-
-
-def _remove_artificials(tableau: np.ndarray, basis: np.ndarray,
-                        num_free: int, num_slack: int, artificial_cols) -> tuple:
-    """Eliminate phase-1 artificial columns from a feasible tableau.
-
-    ``tableau`` holds the constraint rows only (no objective row).  Every
-    artificial still in the basis is first driven out by pivoting on any
-    nonzero real (structural or slack) coefficient of its row.  A row where
-    no such coefficient exists is **redundant**: its real part is all zeros
-    and phase 1 proved its RHS is zero, so the row is dropped.  (The
-    historical behaviour — remapping the stranded artificial basis entry onto
-    column 0 — silently corrupted the recovered solution values for that
-    row.)  Returns the reduced ``(tableau, basis, num_rows)``.
-    """
-    num_rows = tableau.shape[0]
-    total_cols = tableau.shape[1] - 1
-    artificial_set = set(int(col) for col in artificial_cols)
-    for row in range(num_rows):
-        if int(basis[row]) in artificial_set:
-            candidates = np.where(
-                np.abs(tableau[row, :num_free + num_slack]) > _EPS)[0]
-            if candidates.size:
-                _pivot(tableau, basis, row, int(candidates[0]))
-    stuck = [row for row in range(num_rows) if int(basis[row]) in artificial_set]
-    if stuck:
-        keep_rows = [row for row in range(num_rows) if row not in stuck]
-        tableau = tableau[keep_rows, :]
-        basis = basis[keep_rows]
-        num_rows = len(keep_rows)
-    keep = [col for col in range(total_cols) if col not in artificial_set]
-    remap = {old: new for new, old in enumerate(keep)}
-    tableau = tableau[:, keep + [total_cols]]
-    basis = np.array([remap[int(b)] for b in basis], dtype=int)
-    return tableau, basis, num_rows
-
-
-def solve_lp_dense(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray,
-                   fixed: Optional[Dict[int, float]] = None) -> LPResult:
-    """Solve ``min c.x`` s.t. ``a_ub x <= b_ub``, ``x >= 0`` (dense two-phase).
-
-    ``fixed`` maps variable indices to forced values; fixed columns are
-    substituted out before solving and re-inserted in the returned
-    assignment.  Variable upper bounds must be supplied as explicit rows.
-    This is the reference oracle for :func:`solve_bounded_lp`.
-    """
-    c = np.asarray(c, dtype=float)
-    a_ub = np.asarray(a_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    num_vars = c.shape[0]
-    fixed = fixed or {}
-
-    free_vars = [j for j in range(num_vars) if j not in fixed]
-    fixed_vector = np.zeros(num_vars)
-    for index, value in fixed.items():
-        fixed_vector[index] = value
-
-    # Normalise the objective so the reduced-cost stopping tolerance is
-    # scale-free: the placement objective lives at the ~1e-9 J scale, where
-    # an absolute epsilon would declare optimality several pivots early and
-    # hand branch-and-bound an unsound bound.  The recovered vertex is
-    # unaffected; the reported objective is recomputed with the original c.
-    cost_scale = float(np.max(np.abs(c))) if c.size else 0.0
-    reduced_c = (c[free_vars] / cost_scale) if cost_scale > 0 else c[free_vars]
-    if a_ub.size:
-        reduced_a = a_ub[:, free_vars]
-        reduced_b = b_ub - a_ub @ fixed_vector
-    else:
-        reduced_a = np.zeros((0, len(free_vars)))
-        reduced_b = np.zeros(0)
-
-    num_rows = reduced_a.shape[0]
-    num_free = len(free_vars)
-    iterations = 0
-
-    # Normalise rows so every RHS is non-negative (flip the row sign turns a
-    # <= constraint into a >= constraint, which then needs a surplus variable
-    # and an artificial variable).
-    surplus_rows = []
-    for row in range(num_rows):
-        if reduced_b[row] < -_EPS:
-            reduced_a[row, :] *= -1.0
-            reduced_b[row] *= -1.0
-            surplus_rows.append(row)
-
-    num_slack = num_rows
-    num_artificial = len(surplus_rows)
-    total_cols = num_free + num_slack + num_artificial
-
-    tableau = np.zeros((num_rows + 1, total_cols + 1))
-    tableau[:num_rows, :num_free] = reduced_a
-    tableau[:num_rows, -1] = reduced_b
-    basis = np.zeros(num_rows, dtype=int)
-
-    artificial_index = 0
-    artificial_cols = []
-    for row in range(num_rows):
-        slack_col = num_free + row
-        sign = -1.0 if row in surplus_rows else 1.0
-        tableau[row, slack_col] = sign
-        if row in surplus_rows:
-            art_col = num_free + num_slack + artificial_index
-            tableau[row, art_col] = 1.0
-            basis[row] = art_col
-            artificial_cols.append(art_col)
-            artificial_index += 1
-        else:
-            basis[row] = slack_col
-
-    # ---------------- Phase 1 ---------------- #
-    # Maximisation-tableau convention: to minimise the sum of artificials we
-    # maximise its negation, so the bottom row starts at +1 on the artificial
-    # columns and is then priced out against the artificial basis rows.
-    if num_artificial:
-        phase1 = np.zeros(total_cols + 1)
-        for col in artificial_cols:
-            phase1[col] = 1.0
-        tableau = np.vstack([tableau, phase1])
-        # Price out the artificial basis columns.
-        for row in range(num_rows):
-            if basis[row] in artificial_cols:
-                tableau[-1, :] -= tableau[row, :]
-        status, pivots = _simplex(tableau, basis, total_cols)
-        iterations += pivots
-        if status is not LPStatus.OPTIMAL or tableau[-1, -1] < -1e-6:
-            return LPResult(LPStatus.INFEASIBLE, iterations=iterations)
-        tableau, basis, num_rows = _remove_artificials(
-            tableau[:num_rows, :], basis, num_free, num_slack, artificial_cols)
-        total_cols = num_free + num_slack
-        tableau_rows = tableau
-    else:
-        tableau_rows = tableau
-
-    # ---------------- Phase 2 ---------------- #
-    # Minimising reduced_c.x is maximising (-reduced_c).x, whose tableau
-    # bottom row starts as +reduced_c.
-    objective_row = np.zeros(total_cols + 1)
-    objective_row[:num_free] = reduced_c
-    tableau = np.vstack([tableau_rows[:num_rows, :], objective_row])
-    # Price out basic variables that appear in the objective.
-    for row in range(num_rows):
-        coefficient = tableau[-1, basis[row]]
-        if abs(coefficient) > _EPS:
-            tableau[-1, :] -= coefficient * tableau[row, :]
-    status, pivots = _simplex(tableau, basis, total_cols)
-    iterations += pivots
-    if status is LPStatus.UNBOUNDED:
-        return LPResult(LPStatus.UNBOUNDED, iterations=iterations)
-    if status is LPStatus.ITERATION_LIMIT:
-        return LPResult(LPStatus.ITERATION_LIMIT, iterations=iterations)
-
-    values_reduced = np.zeros(total_cols)
-    for row in range(num_rows):
-        values_reduced[basis[row]] = tableau[row, -1]
-    values = np.array(fixed_vector, dtype=float)
-    for position, var_index in enumerate(free_vars):
-        values[var_index] = values_reduced[position]
-    objective = float(c @ values)
-    return LPResult(LPStatus.OPTIMAL, objective=objective, values=values,
-                    iterations=iterations)

@@ -1,15 +1,17 @@
-"""Tests for the LP engines: bounded revised simplex vs the dense oracle.
+"""Tests for the LP engine and branch and bound, with HiGHS as the oracle.
 
-The bounded-variable engine (`solve_bounded_lp`) is fuzzed against the dense
-two-phase tableau (`solve_lp_dense`, the oracle) on randomly generated
-problems, its dual-simplex warm start is checked to agree with cold solves
-after bound tightenings, and the branch-and-bound integration is checked to
-pick bitwise-identical RAM sets warm and cold across the placement
-regression corpus.
+The bounded-variable engine (`solve_bounded_lp`) is fuzzed against HiGHS
+(`scipy.optimize.linprog`) on randomly generated problems, its dual-simplex
+warm start is checked to agree with cold solves after bound tightenings,
+and branch and bound (`solve_ilp`) is checked against HiGHS
+(`scipy.optimize.milp`) on generated 0/1 ILPs and on the placement
+regression corpus, where it must also pick the same RAM sets with every
+child solved cold.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.codegen import CompileOptions, compile_source
 from repro.placement import (
@@ -25,10 +27,8 @@ from repro.placement.solvers.branch_and_bound import ILPResult, solve_ilp
 from repro.placement.solvers.lp import (
     LPResult,
     LPStatus,
-    _remove_artificials,
     solve_bounded_lp,
     solve_lp,
-    solve_lp_dense,
 )
 from repro.sim import EnergyModel
 
@@ -55,29 +55,62 @@ def make_model():
     return PlacementCostModel(params, energy.e_flash, energy.e_ram)
 
 
-def materialize_bounds(a, b, lower, upper):
-    """Append ``x <= u`` / ``-x <= -l`` rows for the dense oracle."""
-    n = a.shape[1]
-    rows, rhs = [a], [b]
-    finite = np.where(np.isfinite(upper))[0]
-    if finite.size:
-        block = np.zeros((finite.size, n))
-        block[np.arange(finite.size), finite] = 1.0
-        rows.append(block)
-        rhs.append(upper[finite])
-    positive = np.where(lower > 0)[0]
-    if positive.size:
-        block = np.zeros((positive.size, n))
-        block[np.arange(positive.size), positive] = -1.0
-        rows.append(block)
-        rhs.append(-lower[positive])
-    return np.vstack(rows), np.concatenate(rhs)
+#: ``scipy.optimize`` HiGHS status codes for the outcomes both solvers report.
+HIGHS_LP_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE,
+                   3: LPStatus.UNBOUNDED}
+HIGHS_ILP_STATUS = {0: "optimal", 2: "infeasible"}
+
+
+def unit_scale(c):
+    """*c* divided by ``max|c|``.
+
+    HiGHS's default tolerances treat the ~1e-9 J placement objective as
+    zero, so it is only a sound oracle on the scaled objective.
+    """
+    scale = float(np.max(np.abs(c))) if c.size else 0.0
+    return c / scale if scale > 0 else c
+
+
+def highs_milp(problem: ILPProblem):
+    """HiGHS on *problem*: its branch variables integral, the rest continuous."""
+    integrality = np.zeros(problem.num_vars)
+    integrality[problem.branch_vars] = 1
+    return milp(unit_scale(problem.objective),
+                constraints=LinearConstraint(problem.a_ub, -np.inf,
+                                             problem.b_ub),
+                integrality=integrality,
+                bounds=Bounds(problem.lower, problem.upper))
+
+
+def solve_ilp_cold(problem: ILPProblem, monkeypatch) -> ILPResult:
+    """:func:`solve_ilp` with every node solved cold, as after a singular
+    parent basis."""
+    import repro.placement.solvers.branch_and_bound as bb
+    with monkeypatch.context() as patch:
+        patch.setattr(bb._NodeSolver, "factorize", lambda self, parent: None)
+        return solve_ilp(problem)
+
+
+def random_binary_ilps(count: int = 200):
+    """The bounded-engine fuzz generator lifted to 0/1 ILPs: every variable
+    is binary and branchable."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, 10))
+        c = rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 3))
+        a = rng.normal(size=(m, n))
+        b = rng.normal(size=m) + 0.5
+        yield ILPProblem(objective=c, constant=0.0, a_ub=a, b_ub=b,
+                         var_names=[f"x{j}" for j in range(n)],
+                         branch_vars=list(range(n)),
+                         lower=np.zeros(n), upper=np.ones(n))
 
 
 # --------------------------------------------------------------------------- #
-# Bounded engine vs the dense oracle (fuzz)
+# Bounded engine vs HiGHS (fuzz)
 # --------------------------------------------------------------------------- #
-def test_bounded_engine_matches_dense_oracle_on_random_problems():
+def test_bounded_engine_matches_highs_on_random_problems():
     rng = np.random.default_rng(2024)
     agreements = 0
     for trial in range(200):
@@ -96,17 +129,16 @@ def test_bounded_engine_matches_dense_oracle_on_random_problems():
             lower[j] = upper[j] = float(np.clip(rng.uniform(0, 1),
                                                 lower[j], upper[j]))
         mine = solve_bounded_lp(c, a, b, lower=lower, upper=upper)
-        dense_a, dense_b = materialize_bounds(a, b, lower, upper)
-        oracle = solve_lp_dense(c, dense_a, dense_b)
-        if oracle.status is LPStatus.ITERATION_LIMIT:
-            continue
-        # The oracle cannot represent unbounded-below-with-infinite-upper any
-        # differently, so statuses must agree exactly.
-        assert mine.status is oracle.status, trial
-        if oracle.status is LPStatus.OPTIMAL:
+        oracle = linprog(unit_scale(c), A_ub=a, b_ub=b,
+                         bounds=np.column_stack([lower, upper]),
+                         method="highs")
+        assert oracle.status in HIGHS_LP_STATUS, (trial, oracle.message)
+        assert mine.status is HIGHS_LP_STATUS[oracle.status], trial
+        if mine.status is LPStatus.OPTIMAL:
             agreements += 1
+            reference = float(c @ oracle.x)
             assert mine.objective == pytest.approx(
-                oracle.objective, abs=1e-6 * (1.0 + abs(oracle.objective))), trial
+                reference, abs=1e-6 * (1.0 + abs(reference))), trial
     assert agreements >= 80  # plenty of the random draws are feasible
 
 
@@ -187,23 +219,15 @@ def test_degenerate_cycling_problem_terminates_optimal():
         [0.0, 0.0, 1.0, 0.0],
     ])
     b = np.array([0.0, 0.0, 1.0])
-    dense = solve_lp_dense(c, a, b)
-    assert dense.status is LPStatus.OPTIMAL
-    assert dense.objective == pytest.approx(-0.05)
     bounded = solve_bounded_lp(c, a, b)
     assert bounded.status is LPStatus.OPTIMAL
     assert bounded.objective == pytest.approx(-0.05)
 
 
-# --------------------------------------------------------------------------- #
-# Dense-oracle phase-1 cleanup (redundant rows)
-# --------------------------------------------------------------------------- #
-def test_dense_solver_exact_on_duplicated_constraints():
-    # Regression for the phase-1 artificial cleanup: duplicated >= rows make
-    # the constraint system redundant, which historically could strand an
-    # artificial variable in the basis and corrupt the recovered values via
-    # ``remap.get(b, 0)``.  min x0 + 2 x1 s.t. x0 + x1 >= 2 (three copies),
-    # x0 <= 1.5: optimum sits at x = (1.5, 0.5), objective 2.5.
+def test_bounded_engine_exact_on_duplicated_constraints():
+    # Duplicated >= rows make the constraint system redundant (a singular
+    # row space).  min x0 + 2 x1 s.t. x0 + x1 >= 2 (three copies),
+    # x0 <= 1.5: the optimum sits at x = (1.5, 0.5), objective 2.5.
     c = np.array([1.0, 2.0])
     a = np.array([
         [-1.0, -1.0],
@@ -212,72 +236,39 @@ def test_dense_solver_exact_on_duplicated_constraints():
         [1.0, 0.0],
     ])
     b = np.array([-2.0, -2.0, -2.0, 1.5])
-    result = solve_lp_dense(c, a, b)
-    assert result.status is LPStatus.OPTIMAL
-    assert result.objective == pytest.approx(2.5)
-    assert result.values == pytest.approx(np.array([1.5, 0.5]))
-    # And the bounded engine agrees on the duplicated system.
     bounded = solve_bounded_lp(c, a, b)
     assert bounded.status is LPStatus.OPTIMAL
     assert bounded.objective == pytest.approx(2.5)
-
-
-def test_remove_artificials_drops_redundant_row_instead_of_corrupting():
-    # White-box check of the cleanup itself.  Columns: x0 | s0 s1 | a0 | RHS
-    # (1 structural, 2 slacks, 1 artificial).  Row 1 is a fully redundant
-    # row whose artificial is basic and has no nonzero real coefficient, so
-    # no drive-out pivot exists.  The historical ``remap.get(b, 0)`` mapped
-    # its basis entry onto column 0, silently overwriting x0's value with
-    # this row's RHS; the fix drops the row.
-    tableau = np.array([
-        [1.0, 0.5, 0.0, 0.0, 2.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-    ])
-    basis = np.array([0, 3])
-    reduced, new_basis, num_rows = _remove_artificials(
-        tableau, basis, num_free=1, num_slack=2, artificial_cols=[3])
-    assert num_rows == 1
-    assert list(new_basis) == [0]
-    assert reduced.shape == (1, 4)  # artificial column removed, RHS kept
-    assert reduced[0, -1] == pytest.approx(2.0)
-
-
-def test_remove_artificials_still_drives_out_when_possible():
-    # An artificial basic on a row that *does* have a real coefficient must
-    # be pivoted out, not dropped: the row carries information (s1 = 0).
-    tableau = np.array([
-        [1.0, 0.5, 0.0, 0.0, 2.0],
-        [0.0, 0.0, -1.0, 1.0, 0.0],
-    ])
-    basis = np.array([0, 3])
-    reduced, new_basis, num_rows = _remove_artificials(
-        tableau, basis, num_free=1, num_slack=2, artificial_cols=[3])
-    assert num_rows == 2
-    assert list(new_basis) == [0, 2]  # s1 replaced the artificial
+    assert bounded.values == pytest.approx(np.array([1.5, 0.5]))
 
 
 # --------------------------------------------------------------------------- #
-# Branch and bound: warm == cold on the placement corpus
+# Branch and bound vs HiGHS, warm and cold
 # --------------------------------------------------------------------------- #
-def test_warm_and_cold_ilp_pick_identical_ram_sets_on_regression_corpus():
+def test_warm_and_cold_ilp_pick_identical_ram_sets_on_regression_corpus(
+        monkeypatch):
     model = make_model()
     for r_spare, x_limit in [(64, 1.1), (256, 1.3), (4096, 2.0)]:
         problem = build_placement_ilp(model, r_spare, x_limit)
-        cold = solve_ilp(problem, warm_start=False)
-        warm = solve_ilp(problem, warm_start=True)
-        assert cold.status == warm.status, (r_spare, x_limit)
+        warm = solve_ilp(problem)
+        cold = solve_ilp_cold(problem, monkeypatch)
+        oracle = highs_milp(problem)
+        assert warm.status == cold.status == HIGHS_ILP_STATUS[oracle.status], (
+            r_spare, x_limit)
         assert cold.values is not None and warm.values is not None
-        cold_ram = set(solution_to_ram_set(problem, cold.values))
         warm_ram = set(solution_to_ram_set(problem, warm.values))
-        assert cold_ram == warm_ram, (r_spare, x_limit)
+        assert warm_ram == set(solution_to_ram_set(problem, oracle.x)), (
+            r_spare, x_limit)
+        assert warm_ram == set(solution_to_ram_set(problem, cold.values)), (
+            r_spare, x_limit)
         assert warm.warm_solves + warm.cold_solves > 0
-        assert cold.warm_solves == 0  # the oracle path never warm-starts
-        # Both engines report real pivot work through the stats plumbing.
+        assert cold.warm_solves == 0  # the cold arm never warm-starts
+        # Both arms report real pivot work through the stats plumbing.
         assert cold.lp_pivots > 0 and warm.lp_pivots > 0
 
 
 @pytest.mark.parametrize("kernel", ["crc32", "fdct"])
-def test_warm_and_cold_ilp_agree_on_beebs_kernels(kernel):
+def test_warm_and_cold_ilp_agree_on_beebs_kernels(monkeypatch, kernel):
     from repro.engine import default_cache
     program = default_cache().get_benchmark_mutable(kernel, "O2")
     optimizer = FlashRAMOptimizer(program, config=PlacementConfig())
@@ -285,11 +276,32 @@ def test_warm_and_cold_ilp_agree_on_beebs_kernels(kernel):
     r_spare = optimizer.derive_r_spare()
     for x_limit in (1.1, 1.5):
         problem = build_placement_ilp(model, r_spare, x_limit)
-        cold = solve_ilp(problem, warm_start=False)
-        warm = solve_ilp(problem, warm_start=True)
-        assert cold.status == warm.status == "optimal", (kernel, x_limit)
-        assert (set(solution_to_ram_set(problem, cold.values))
-                == set(solution_to_ram_set(problem, warm.values))), (kernel, x_limit)
+        warm = solve_ilp(problem)
+        cold = solve_ilp_cold(problem, monkeypatch)
+        oracle = highs_milp(problem)
+        assert oracle.status == 0, (kernel, x_limit, oracle.message)
+        assert warm.status == cold.status == "optimal", (kernel, x_limit)
+        warm_ram = set(solution_to_ram_set(problem, warm.values))
+        assert warm_ram == set(solution_to_ram_set(problem, oracle.x)), (
+            kernel, x_limit)
+        assert warm_ram == set(solution_to_ram_set(problem, cold.values)), (
+            kernel, x_limit)
+
+
+def test_ilp_matches_highs_on_random_binary_ilps():
+    optimal = 0
+    for trial, problem in enumerate(random_binary_ilps()):
+        mine = solve_ilp(problem)
+        oracle = highs_milp(problem)
+        assert oracle.status in HIGHS_ILP_STATUS, (trial, oracle.message)
+        assert mine.status == HIGHS_ILP_STATUS[oracle.status], trial
+        if mine.status == "optimal":
+            optimal += 1
+            reference = np.round(oracle.x)
+            assert np.array_equal(mine.values, reference), trial
+            assert mine.objective == pytest.approx(
+                float(problem.objective @ reference), rel=1e-9), trial
+    assert optimal >= 80
 
 
 def test_placement_ilp_carries_native_bounds_not_rows():
@@ -302,9 +314,6 @@ def test_placement_ilp_carries_native_bounds_not_rows():
         nonzero = np.nonzero(row)[0]
         assert not (nonzero.size == 1 and row[nonzero[0]] == 1.0
                     and rhs == 1.0), "bound row leaked into the matrix"
-    # dense_rows() reconstructs them for engines without native bounds.
-    dense_a, dense_b = problem.dense_rows()
-    assert dense_a.shape[0] == problem.a_ub.shape[0] + problem.num_vars
 
 
 def test_library_successor_rows_are_deduplicated():
@@ -345,12 +354,12 @@ def test_iteration_limited_child_forfeits_optimality_proof(monkeypatch):
     real_solve = bb.solve_bounded_lp
 
     def flaky_solve(c, a_ub, b_ub, lower=None, upper=None, **kwargs):
-        if upper is not None and np.asarray(upper)[1] == 0.0:
+        if upper[1] == 0.0:
             return LPResult(LPStatus.ITERATION_LIMIT)
         return real_solve(c, a_ub, b_ub, lower=lower, upper=upper, **kwargs)
 
     monkeypatch.setattr(bb, "solve_bounded_lp", flaky_solve)
-    result = solve_ilp(problem, warm_start=True)
+    result = solve_ilp(problem)
     assert result.unresolved_nodes >= 1
     assert result.status == "feasible"
     assert not result.optimal
@@ -359,7 +368,7 @@ def test_iteration_limited_child_forfeits_optimality_proof(monkeypatch):
     assert result.objective == pytest.approx(-1.0)
     # Without interference the same problem is solved to proven optimality.
     monkeypatch.setattr(bb, "solve_bounded_lp", real_solve)
-    clean = solve_ilp(problem, warm_start=True)
+    clean = solve_ilp(problem)
     assert clean.status == "optimal" and clean.objective == pytest.approx(-2.0)
     assert clean.unresolved_nodes == 0
 
@@ -369,7 +378,7 @@ def test_optimizer_reports_fallback_empty_when_solver_gives_up(monkeypatch):
     program = compile_source(LOOP_SOURCE, CompileOptions.for_level("O2"))
     optimizer = FlashRAMOptimizer(program)
 
-    def give_up(problem, max_nodes=400, warm_start=True, **kwargs):
+    def give_up(problem, max_nodes=400, **kwargs):
         return ILPResult(status="iteration_limit")
 
     monkeypatch.setattr(optimizer_module, "solve_ilp", give_up)
@@ -466,20 +475,8 @@ def test_shared_factorisation_matches_standalone_children_on_beebs(
 
 def test_shared_factorisation_matches_standalone_children_on_random_ilps(
         monkeypatch):
-    # The 200-problem generator of the bounded-engine fuzz above, lifted to
-    # 0/1 ILPs: every variable is binary and branchable.
-    rng = np.random.default_rng(2024)
     children = 0
-    for trial in range(200):
-        n = int(rng.integers(2, 8))
-        m = int(rng.integers(1, 10))
-        c = rng.normal(size=n) * 10.0 ** float(rng.integers(-3, 3))
-        a = rng.normal(size=(m, n))
-        b = rng.normal(size=m) + 0.5
-        problem = ILPProblem(objective=c, constant=0.0, a_ub=a, b_ub=b,
-                             var_names=[f"x{j}" for j in range(n)],
-                             branch_vars=list(range(n)),
-                             lower=np.zeros(n), upper=np.ones(n))
+    for problem in random_binary_ilps():
         _, checked = check_children_against_standalone(monkeypatch, problem)
         children += checked
     assert children >= 100
@@ -489,7 +486,7 @@ def test_singular_parent_basis_counts_both_children_as_cold():
     from repro.placement.solvers.branch_and_bound import _NodeSolver
     model = make_model()
     problem = build_placement_ilp(model, r_spare=256, x_limit=1.3)
-    solver = _NodeSolver(problem, warm_start=True)
+    solver = _NodeSolver(problem)
     root = solver.solve({})
     assert root.status is LPStatus.OPTIMAL
     # Two copies of one column make the parent basis singular.

@@ -309,6 +309,8 @@ def test_ilp_reports_optimal_when_budget_exhausts_with_closed_heap():
         b_ub=np.array([3.0, 1.0, 1.0]),
         var_names=["x0", "x1"],
         branch_vars=[0, 1],
+        lower=np.zeros(2),
+        upper=np.full(2, np.inf),
         r_index={"x0": 0, "x1": 1},
     )
     capped = solve_ilp(problem, max_nodes=3)
